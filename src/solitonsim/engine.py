@@ -6,30 +6,39 @@ plus per-node leak), and a right-hand side holding the switched channel
 sources and any stimuli.  Two implicit schemes are offered, backward Euler
 and trapezoidal, both unconditionally stable on this passive system.
 
-Three implementation choices worth knowing:
+Implementation choices worth knowing:
 
 * The solve runs in deviation-from-rest coordinates (U = V - v_rest).  The
   leak battery term cancels identically, so a network with no stimulus
   stays at exactly U = 0: the zero right-hand side solves to exactly zero,
   bit for bit, under either scheme.
-* Channel source states are frozen during a step.  The step solves a
-  purely linear system; afterwards every segment's gate machine is stepped
-  with the (previous, new) voltage pair of its head node, and the source
-  vector is rebuilt if any phase changed.  Events are therefore resolved
-  at step granularity, which is what the refinement check is for.
 * Bare rail nodes (no shunt capacitance) make the system an index-1 DAE.
   Backward Euler handles those rows naturally.  A trapezoidal row would
   average the algebraic constraint across two steps and ring on an
   inconsistent start, so for C = 0 rows the trapezoidal scheme falls back
   to the backward-Euler form: the constraint is enforced at the new time
   point.
-
-The left-hand matrix is constant, so it is factorized once (dense LU; the
-networks here are at most a few dozen nodes) and back-substituted per step.
+* Either scheme is one affine step  U' = P U + q.  The step matrix is
+  constant, so it is LU-factorized once per run and the one-step
+  propagator P is formed from it, together with the stacked powers P^j
+  and partial sums S_j = P^0 + ... + P^(j-1) up to a block length K that
+  a fixed memory budget allows for the node count.  The forcing q (channel
+  sources plus stimuli) changes only at breakpoints: stimulus on/off steps
+  and gate transitions.  Between breakpoints, up to K steps come out of one
+  matrix product  U_j = P^j U_0 + S_j q.
+* Channel source states are frozen within a step.  After each block the
+  head voltages of every step are screened against the window in which
+  each segment's phase cannot change; the block is cut at the first step
+  where any segment leaves its window, and ``step_gate`` is applied there,
+  with the (previous, new) head voltage pair, to those segments only.  The
+  next block starts from the cut step with the new sources.  Events are
+  therefore resolved at step granularity, exactly as with a step-by-step
+  loop, which is what the refinement check is for.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -65,12 +74,16 @@ class SimConfig:
     integrator: Integrator = Integrator.TRAPEZOIDAL
 
     def __post_init__(self) -> None:
-        if self.dt <= 0.0:
-            raise InvalidSpecError(f"dt must be positive, got {self.dt}")
-        if self.t_end <= self.dt:
-            raise InvalidSpecError(f"t_end must exceed dt, got t_end={self.t_end} dt={self.dt}")
-        if int(self.record_stride) != self.record_stride or self.record_stride < 1:
-            raise InvalidSpecError(f"record_stride must be a positive count, got {self.record_stride}")
+        # written as "not (valid)" so that NaN fails every check
+        if not (math.isfinite(self.dt) and self.dt > 0.0):
+            raise InvalidSpecError(f"dt must be positive and finite, got {self.dt}")
+        if not (math.isfinite(self.t_end) and self.t_end > self.dt):
+            raise InvalidSpecError(
+                f"t_end must be finite and exceed dt, got t_end={self.t_end} dt={self.dt}"
+            )
+        stride = self.record_stride
+        if not (stride >= 1 and math.isfinite(stride) and int(stride) == stride):
+            raise InvalidSpecError(f"record_stride must be a positive count, got {stride}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,13 +194,76 @@ def _factorize(lhs: np.ndarray):
     return factor
 
 
-def _source_vector(n: int, states, elements, heads) -> np.ndarray:
-    src = np.zeros(n)
-    for s in range(len(states)):
-        cur = source_current(states[s], elements[s])
-        if cur != 0.0:
-            src[heads[s]] += cur
-    return src
+# Floats held by the stacked block propagator (1 MB): the block length K is
+# this over 2 n^2, so small networks take long blocks and large ones stay
+# within the same memory.  Past the size of a core's cache each step of a
+# block gets slower: at 2 MB it cost about twice as much per step as at
+# 1 MB on a Xeon with 2 MB of L2 per core.
+_BLOCK_FLOATS = 1 << 17
+
+_PHASES = tuple(GateState)
+
+
+def _block_stack(step: np.ndarray, n_steps: int) -> np.ndarray:
+    """Stacked [P^j, S_j] for j = 1..K, with S_j = P^0 + ... + P^(j-1).
+
+    Row j-1 of the (K, n, 2n) result maps the state u and the forcing q
+    stacked as [u; q] to the state j steps on: P^j u + S_j q.  K fills
+    _BLOCK_FLOATS for this node count (at least 1, at most n_steps); the
+    stack is built by doubling, P^(j+i) = P^j P^i and S_(j+i) = S_j + P^j S_i.
+    """
+    n = step.shape[0]
+    depth = max(1, min(_BLOCK_FLOATS // (2 * n * n), n_steps))
+    stack = np.empty((depth, n, 2 * n))
+    stack[0, :, :n] = step
+    stack[0, :, n:] = np.eye(n)
+    done = 1
+    while done < depth:
+        take = min(done, depth - done)
+        np.matmul(stack[done - 1, :, :n], stack[:take], out=stack[done : done + take])
+        stack[done : done + take, :, n:] += stack[done - 1, :, n:]
+        done += take
+    return stack
+
+
+def _stimulus_schedule(topology: Topology, index: dict, stimuli, h: float, n_steps: int):
+    """Stimuli as (column, amplitude, on, off) step ranges, plus the forcing breakpoints.
+
+    A stimulus is on for the steps on <= k < off, the steps whose time k*h
+    passes ``t_start <= k*h < t_start + duration``; the search runs on
+    those very products.  The forcing of step k uses the stimulus at steps
+    k-1 and k, so it changes at on and off and again one step later; the
+    sorted breakpoints are those steps in 2..n_steps.
+    """
+    step_times = np.arange(n_steps + 1) * h if stimuli else None
+    drive = []
+    edges = set()
+    for stim in stimuli:
+        try:
+            node = topology.resolve(stim.node)
+        except KeyError as exc:
+            raise TopologyError(f"stimulus at unknown node: {exc}") from exc
+        t0, t1 = stim.t_start, stim.t_start + stim.duration
+        if not t0 < t1:  # empty or NaN: never on
+            continue
+        on, off = (int(k) for k in np.searchsorted(step_times, (t0, t1)))
+        drive.append((index[node], stim.amplitude, on, off))
+        edges.update((on, on + 1, off, off + 1))
+    return drive, sorted(e for e in edges if 1 < e <= n_steps)
+
+
+def _stay_windows(params: MembraneParams) -> tuple[np.ndarray, np.ndarray]:
+    """Per phase code, the head voltages [lo, hi) (mV) at which step_gate cannot move it.
+
+    REST can leave only at or above the trigger and FIRING only at or above
+    the sodium cutoff; FALLING leaves below the trigger (MembraneParams
+    keeps the potassium cutoff below it); FALLING_ARMED stays strictly
+    between the potassium cutoff and the trigger.  A voltage outside the
+    window makes the segment a candidate, and step_gate decides.
+    """
+    lo = np.array([-np.inf, -np.inf, params.v_trigger, np.nextafter(params.v_k_cutoff, np.inf)])
+    hi = np.array([params.v_trigger, params.v_na_cutoff, np.inf, params.v_trigger])
+    return lo, hi
 
 
 # =====================================================================
@@ -218,7 +294,8 @@ def simulate(
         Waveform sampled every record_stride steps, t = 0 included.
 
     Raises:
-        TopologyError: singular system or a stimulus at an unknown node.
+        TopologyError: singular system, or a stimulus or initial voltage at
+            an unknown node.
         InstabilityError: a step produced a non-finite voltage.
     """
     if params is None:
@@ -237,22 +314,17 @@ def simulate(
         stim_prev_weight = np.where(capacitive, 1.0, 0.0)
     else:
         lhs = np.diag(cap / h) + cond
-        rhs_matrix = None
-        stim_prev_weight = None
+        rhs_matrix = np.diag(cap / h)
     factor = _factorize(lhs)
 
-    drive = []
-    for stim in stimuli:
-        try:
-            node = topology.resolve(stim.node)
-        except KeyError as exc:
-            raise TopologyError(f"stimulus at unknown node: {exc}") from exc
-        drive.append((index[node], stim.amplitude, stim.t_start, stim.t_start + stim.duration))
+    n_steps = int(round(config.t_end / h))
+    stride = int(config.record_stride)
+    drive, edges = _stimulus_schedule(topology, index, stimuli, h, n_steps)
 
-    def stim_vector(t: float) -> np.ndarray:
+    def stim_vector(k: int) -> np.ndarray:
         vec = np.zeros(n)
-        for col, amp, t0, t1 in drive:
-            if t0 <= t < t1:
+        for col, amp, on, off in drive:
+            if on <= k < off:
                 vec[col] += amp
         return vec
 
@@ -260,55 +332,99 @@ def simulate(
     u = np.zeros(n)
     if initial_mv:
         for node, mv in initial_mv.items():
-            u[index[topology.resolve(node)]] = (mv - rest) * 1e-3
+            try:
+                col = index[topology.resolve(node)]
+            except KeyError as exc:
+                raise TopologyError(f"initial voltage at unknown node: {exc}") from exc
+            u[col] = (mv - rest) * 1e-3
 
+    # per segment and phase code: the source current and the stay window
     n_segments = len(topology.segments)
-    states = [GateState.REST] * n_segments
-    src = _source_vector(n, states, elements, heads)
+    currents = np.array([[source_current(phase, el) for phase in _PHASES] for el in elements])
+    currents = currents.reshape(n_segments, len(_PHASES))
+    lo_table, hi_table = _stay_windows(params)
+    seg_index = np.arange(n_segments)
+    states = np.zeros(n_segments, dtype=np.uint8)
 
-    n_steps = int(round(config.t_end / h))
-    stride = int(config.record_stride)
     n_samples = n_steps // stride + 1
-    times = np.empty(n_samples)
+    times = np.arange(n_samples) * stride * h
     voltages = np.empty((n_samples, n))
     phases = np.empty((n_samples, n_segments), dtype=np.uint8)
+    voltages[0] = u * 1e3 + rest
+    phases[0] = states
 
-    def record(row: int, t: float, u_now: np.ndarray) -> None:
-        times[row] = t
-        voltages[row] = u_now * 1e3 + rest
-        phases[row] = [state.value for state in states]
+    stack = _block_stack(lu_solve(factor, rhs_matrix, check_finite=False), n_steps)
+    depth = stack.shape[0]
+    x = np.empty(2 * n)  # [u; q]
+    head_prev = u[heads] * 1e3 + rest
+    lo, hi = lo_table[states], hi_table[states]
+    stale = True  # q must be rebuilt before the next block
+    span_end = 0  # last step of the current stimulus span
+    next_edge = 0
+    done = 0
+    # A non-finite stimulus or an overflow shows up as inf/NaN in the block
+    # and is reported below as an InstabilityError, not as a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        while done < n_steps:
+            first = done + 1
+            if first > span_end:
+                while next_edge < len(edges) and edges[next_edge] <= first:
+                    next_edge += 1
+                span_end = edges[next_edge] - 1 if next_edge < len(edges) else n_steps
+                stale = True
+            if stale:
+                src = np.bincount(heads, weights=currents[seg_index, states], minlength=n)
+                if trapezoidal:
+                    forcing = 2.0 * src + stim_prev_weight * stim_vector(first - 1) + stim_vector(first)
+                else:
+                    forcing = src + stim_vector(first)
+                x[n:] = lu_solve(factor, forcing, check_finite=False)
+                stale = False
+            m = min(depth, span_end - done)
+            x[:n] = u
+            block = (stack[:m].reshape(m * n, 2 * n) @ x).reshape(m, n)
 
-    record(0, 0.0, u)
-    row = 1
-    stim_now = stim_vector(0.0)
-    be_coef = cap / h
-    for k in range(1, n_steps + 1):
-        t_now = k * h
-        stim_prev, stim_now = stim_now, stim_vector(t_now)
-        if trapezoidal:
-            rhs = rhs_matrix @ u + 2.0 * src + stim_prev_weight * stim_prev + stim_now
-        else:
-            rhs = be_coef * u + src + stim_now
-        # finiteness of the solution is checked below, not by scipy
-        u_next = lu_solve(factor, rhs, check_finite=False)
-        if not np.all(np.isfinite(u_next)):
-            raise InstabilityError(f"non-finite voltage at step {k} (t = {t_now:.6g} s)", step=k)
+            finite = np.isfinite(block).all(axis=1)
+            n_ok = m if finite.all() else int(np.argmin(finite))
+            head_mv = block[:n_ok, heads]
+            head_mv *= 1e3
+            head_mv += rest
+            leaving = (head_mv < lo) | (head_mv >= hi)
+            hits = leaving.any(axis=1)
+            cut = int(np.argmax(hits)) if hits.any() else -1
+            n_take = cut + 1 if cut >= 0 else n_ok
 
-        v_prev_mv = u[heads] * 1e3 + rest
-        v_now_mv = u_next[heads] * 1e3 + rest
-        changed = False
-        for s in range(n_segments):
-            new_state = step_gate(states[s], v_prev_mv[s], v_now_mv[s], params)
-            if new_state is not states[s]:
-                states[s] = new_state
-                changed = True
-        if changed:
-            src = _source_vector(n, states, elements, heads)
+            # record the accepted steps done+1 .. done+n_take that fall on the grid
+            first_row = -(-first // stride)
+            rows = block[first_row * stride - first : n_take : stride]
+            if len(rows):
+                out = voltages[first_row : first_row + len(rows)]
+                np.multiply(rows, 1e3, out=out)
+                out += rest
+                phases[first_row : first_row + len(rows)] = states
 
-        u = u_next
-        if k % stride == 0:
-            record(row, t_now, u)
-            row += 1
+            if cut < 0 and n_ok < m:
+                k = done + n_ok + 1
+                raise InstabilityError(f"non-finite voltage at step {k} (t = {k * h:.6g} s)", step=k)
+            if cut >= 0:
+                v_prev = head_mv[cut - 1] if cut > 0 else head_prev
+                changed = False
+                for s in np.flatnonzero(leaving[cut]):
+                    old = _PHASES[states[s]]
+                    new = step_gate(old, v_prev[s], head_mv[cut, s], params)
+                    if new is not old:
+                        states[s] = new.value
+                        changed = True
+                if changed:
+                    lo, hi = lo_table[states], hi_table[states]
+                    stale = True
+                    k = done + n_take
+                    if k % stride == 0:
+                        phases[k // stride] = states
+
+            u = block[n_take - 1]
+            head_prev = head_mv[n_take - 1]
+            done += n_take
 
     return Waveform(
         times=times,

@@ -1,16 +1,28 @@
-"""Closed-form references for the engine tests.
+"""Reference results for the engine tests.
 
-Nothing here touches the solver: single-node trajectories are piecewise
-linear RC charging curves, so event times come out of exact exponential
-crossing formulas.  Element values are passed in as frozen numbers by the
-callers rather than derived, keeping this path independent of the package
-under test.
+Closed-form references: single-node trajectories are piecewise linear RC
+charging curves, so event times come out of exact exponential crossing
+formulas.  Element values are passed in as frozen numbers by the callers
+rather than derived, keeping this path independent of the package under
+test.
+
+``reference_simulate`` is the straightforward step-by-step form of the
+engine's integrator: one LU back-substitution per step (LAPACK getrs, the
+routine ``scipy.linalg.lu_solve`` wraps, called directly to skip the
+wrapper's per-call cost), then the scalar gate rule on every segment.  It
+shares only element derivation and the gate rules with the package, so
+the engine's block propagator can be checked against it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
+from scipy.linalg import get_lapack_funcs, lu_factor
+
+from solitonsim.membrane import GateState, MembraneParams, derive_elements, source_current, step_gate
 
 
 def exp_crossing_time(u0: float, u_inf: float, u_target: float, tau: float) -> float | None:
@@ -97,3 +109,93 @@ def isolated_patch_times(
         else:
             break
     raise AssertionError(f"patch pulse did not complete (stopped in {phase!r} at t={t})")
+
+
+def reference_simulate(topology, stimuli, config, params=None, initial_mv=None):
+    """Step-by-step trapezoidal/backward-Euler run: (times, voltages_mv, phases).
+
+    Same discretization as ``solitonsim.engine.simulate`` (C = 0 rows of the
+    trapezoidal rule take the backward-Euler form), advanced one step at a
+    time with every segment's gate stepped after every step.
+    """
+    params = params or MembraneParams()
+    ids = topology.node_ids
+    index = {node: i for i, node in enumerate(ids)}
+    n = len(ids)
+    cap = np.zeros(n)
+    cond = np.zeros((n, n))
+    elements = [derive_elements(seg.spec, params) for seg in topology.segments]
+    heads = np.array([index[seg.head] for seg in topology.segments], dtype=np.intp)
+    for seg, el in zip(topology.segments, elements):
+        t, h = index[seg.tail], index[seg.head]
+        g_ax = 1.0 / el.r_axial
+        cond[t, t] += g_ax
+        cond[h, h] += g_ax
+        cond[t, h] -= g_ax
+        cond[h, t] -= g_ax
+        cond[h, h] += 1.0 / el.r_loss
+        cap[h] += el.c_shunt
+    for node, extra in topology.extra_c.items():
+        cap[index[node]] += extra
+
+    dt = config.dt
+    trapezoidal = config.integrator.value == "trapezoidal"
+    scale = 2.0 if trapezoidal else 1.0
+    lu, piv = lu_factor(np.diag(scale * cap / dt) + cond)
+    (getrs,) = get_lapack_funcs(("getrs",), (lu,))
+    rhs_matrix = np.diag(scale * cap / dt) - (cond if trapezoidal else 0.0)
+    if trapezoidal:
+        rhs_matrix[cap == 0.0, :] = 0.0
+    prev_weight = np.where(cap > 0.0, 1.0, 0.0) if trapezoidal else np.zeros(n)
+    drive = [
+        (index[topology.resolve(s.node)], s.amplitude, s.t_start, s.t_start + s.duration)
+        for s in stimuli
+    ]
+
+    def stim_at(t):
+        vec = np.zeros(n)
+        for col, amp, t0, t1 in drive:
+            if t0 <= t < t1:
+                vec[col] += amp
+        return vec
+
+    def sources(states):
+        src = np.zeros(n)
+        for state, el, head in zip(states, elements, heads):
+            src[head] += source_current(state, el)
+        return src
+
+    rest = params.v_rest
+    u = np.zeros(n)
+    for node, mv in (initial_mv or {}).items():
+        u[index[topology.resolve(node)]] = (mv - rest) * 1e-3
+    states = [GateState.REST] * len(elements)
+    src = sources(states)
+
+    n_steps = int(round(config.t_end / dt))
+    stride = int(config.record_stride)
+    n_samples = n_steps // stride + 1
+    times = np.zeros(n_samples)
+    volts = np.empty((n_samples, n))
+    phases = np.zeros((n_samples, len(states)), dtype=np.uint8)
+    volts[0] = u * 1e3 + rest
+    codes = phases[0]
+    stim_now = stim_at(0.0)
+    for k in range(1, n_steps + 1):
+        stim_prev, stim_now = stim_now, stim_at(k * dt)
+        forcing = scale * src + prev_weight * stim_prev + stim_now
+        u_next, info = getrs(lu, piv, rhs_matrix @ u + forcing)
+        assert info == 0
+        v_prev = u[heads] * 1e3 + rest
+        v_now = u_next[heads] * 1e3 + rest
+        new = [step_gate(st, v_prev[s], v_now[s], params) for s, st in enumerate(states)]
+        if new != states:
+            states = new
+            src = sources(states)
+            codes = [st.value for st in states]
+        u = u_next
+        if k % stride == 0:
+            times[k // stride] = k * dt
+            volts[k // stride] = u * 1e3 + rest
+            phases[k // stride] = codes
+    return times, volts, phases

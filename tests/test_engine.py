@@ -1,13 +1,15 @@
-"""Transient solver tests against closed-form references."""
+"""Transient solver tests against closed-form and step-by-step references."""
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from oracles import isolated_patch_times
+import solitonsim.engine as engine
+from oracles import isolated_patch_times, reference_simulate
 from solitonsim.engine import (
     ConvergenceReport,
     Integrator,
@@ -24,6 +26,7 @@ from solitonsim.errors import (
 )
 from solitonsim.membrane import GateState, MembraneParams, SegmentSpec
 from solitonsim.network import Segment, Stimulus, Topology, build_chain, node_capacitances
+from solitonsim.scenario import build_topology, bundled_scenario_names, load_bundled_scenario
 
 PARAMS = MembraneParams()
 BOTH_INTEGRATORS = [Integrator.TRAPEZOIDAL, Integrator.BACKWARD_EULER]
@@ -49,10 +52,12 @@ def passive_spec() -> SegmentSpec:
 
 @pytest.mark.parametrize("integrator", BOTH_INTEGRATORS)
 def test_zero_stimulus_equilibrium_is_bit_exact(integrator):
-    config = SimConfig(t_end=5e-3, integrator=integrator)
-    wave = simulate(build_chain(10), (), config)
-    assert np.all(wave.voltages_mv == -70.0)
-    assert np.all(wave.phases == GateState.REST.value)
+    # 10 segments run in long blocks, 160 segments in blocks of two steps
+    config = SimConfig(t_end=5e-3, record_stride=1, integrator=integrator)
+    for n_segments in (10, 160):
+        wave = simulate(build_chain(n_segments), (), config)
+        assert np.all(wave.voltages_mv == -70.0)
+        assert np.all(wave.phases == GateState.REST.value)
 
 
 @pytest.mark.parametrize(
@@ -232,7 +237,6 @@ def test_isolated_bare_node_is_reported_as_degenerate():
         simulate(topo, (), SimConfig(t_end=1e-3))
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered")
 def test_non_finite_stimulus_raises_instability_with_step_index():
     stim = Stimulus(node="A", amplitude=float("inf"), t_start=0.0, duration=1e-3)
     with pytest.raises(InstabilityError) as err:
@@ -244,6 +248,12 @@ def test_stimulus_at_unknown_node_is_rejected():
     stim = Stimulus(node=99, amplitude=10e-9, t_start=0.0, duration=1e-3)
     with pytest.raises(TopologyError):
         simulate(build_chain(2), [stim], SimConfig(t_end=1e-3))
+
+
+@pytest.mark.parametrize("node", ["nope", 99])
+def test_initial_voltage_at_unknown_node_is_rejected(node):
+    with pytest.raises(TopologyError):
+        simulate(build_chain(2), (), SimConfig(t_end=1e-3), initial_mv={node: 0.0})
 
 
 def test_waveform_lookup_errors():
@@ -258,7 +268,19 @@ def test_waveform_lookup_errors():
 
 @pytest.mark.parametrize(
     "kwargs",
-    [{"dt": 0.0}, {"dt": -1e-6}, {"t_end": 1e-6}, {"record_stride": 0}],
+    [
+        {"dt": 0.0},
+        {"dt": -1e-6},
+        {"t_end": 1e-6},
+        {"record_stride": 0},
+        {"dt": math.nan},
+        {"dt": math.inf},
+        {"t_end": math.nan},
+        {"t_end": math.inf},
+        {"record_stride": math.nan},
+        {"record_stride": math.inf},
+        {"record_stride": 2.5},
+    ],
 )
 def test_sim_config_validation(kwargs):
     with pytest.raises(InvalidSpecError):
@@ -290,3 +312,64 @@ def test_refine_check_reports_small_discrepancy_at_default_step():
     assert report.dt_fine == pytest.approx(config.dt / 2)
     assert report.max_discrepancy_mv < 1.0
     assert not report.events_diverged
+
+
+# ---------------------------------------------------------------------
+# block propagator against the step-by-step reference
+# ---------------------------------------------------------------------
+
+
+def scenario_run(name: str, **config_changes):
+    scenario = load_bundled_scenario(name)
+    config = replace(scenario.config, **config_changes)
+    return build_topology(scenario), scenario.stimuli, config, scenario.params
+
+
+def assert_matches_reference(wave: Waveform, reference) -> None:
+    times, voltages_mv, phases = reference
+    assert np.array_equal(wave.times, times)
+    assert np.array_equal(wave.phases, phases)
+    assert float(np.abs(wave.voltages_mv - voltages_mv).max()) < 1e-9
+
+
+@pytest.mark.parametrize("integrator", BOTH_INTEGRATORS)
+@pytest.mark.parametrize("name", bundled_scenario_names())
+def test_bundled_scenarios_match_step_by_step_reference(name, integrator):
+    run = scenario_run(name, record_stride=1, integrator=integrator)
+    assert_matches_reference(simulate(*run), reference_simulate(*run))
+
+
+def test_long_chain_matches_step_by_step_reference():
+    # 161 nodes: blocks of two steps, many gate events per block
+    stimuli = [
+        Stimulus(node="A", amplitude=10e-9, t_start=0.1e-3, duration=0.2e-3),
+        Stimulus(node="v(81)", amplitude=12e-9, t_start=0.4e-3, duration=0.2e-3),
+    ]
+    run = (build_chain(160), stimuli, SimConfig(t_end=2.5e-3, record_stride=1), PARAMS)
+    assert_matches_reference(simulate(*run), reference_simulate(*run))
+
+
+@pytest.mark.parametrize("name", ["fig7_chain", "fig11_or"])
+def test_one_step_blocks_give_the_same_run(monkeypatch, name):
+    run = scenario_run(name)
+    wave = simulate(*run)
+    monkeypatch.setattr(engine, "_BLOCK_FLOATS", 0)
+    single = simulate(*run)
+    assert np.array_equal(single.times, wave.times)
+    assert np.array_equal(single.phases, wave.phases)
+    assert float(np.abs(single.voltages_mv - wave.voltages_mv).max()) < 1e-9
+
+
+def test_transition_on_a_recorded_row_with_stride():
+    topology, stimuli, config, params = scenario_run("fig1_patch", record_stride=1)
+    fine = simulate(topology, stimuli, config, params)
+    event_steps = np.flatnonzero(np.diff(fine.phases[:, 0]) != 0) + 1
+    stride = next(s for s in range(2, 50) if np.any(event_steps % s == 0))
+    coarse_config = replace(config, record_stride=stride)
+    coarse = simulate(topology, stimuli, coarse_config, params)
+    # the recorded row of the transition step already shows the new phase
+    row = int(event_steps[event_steps % stride == 0][0]) // stride
+    assert coarse.phases[row, 0] != coarse.phases[row - 1, 0]
+    assert np.array_equal(coarse.phases, fine.phases[::stride])
+    assert np.array_equal(coarse.voltages_mv, fine.voltages_mv[::stride])
+    assert_matches_reference(coarse, reference_simulate(topology, stimuli, coarse_config, params))
