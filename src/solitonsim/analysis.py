@@ -10,6 +10,7 @@ between the recorded peak and the resting level.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -169,10 +170,10 @@ def rising_edge_slope(
 
 
 def first_phase_time(
-    waveform: Waveform, segment_index: int, phase: GateState
+    waveform: Waveform, segment_index: int, phase: GateState, *, after: float = -math.inf
 ) -> float | None:
-    """Time of the first sample where a segment's gate shows ``phase``."""
-    hits = np.flatnonzero(waveform.phase(segment_index) == phase.value)
+    """Time of the first sample later than ``after`` where a segment's gate shows ``phase``."""
+    hits = np.flatnonzero((waveform.phase(segment_index) == phase.value) & (waveform.times > after))
     if len(hits) == 0:
         return None
     return float(waveform.times[hits[0]])

@@ -29,7 +29,7 @@ place where those units are converted; everything downstream of it is SI.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 from .errors import InvalidSpecError
@@ -71,6 +71,9 @@ class MembraneParams:
     rho_internal: float = 15.7
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise InvalidSpecError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if not (self.v_k_cutoff < self.v_rest < self.v_trigger < self.v_na_cutoff):
             raise InvalidSpecError(
                 "voltage thresholds must be ordered "
@@ -105,12 +108,11 @@ class SegmentSpec:
     c_scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.length <= 0.0:
-            raise InvalidSpecError(f"segment length must be positive, got {self.length}")
-        if self.diameter <= 0.0:
-            raise InvalidSpecError(f"segment diameter must be positive, got {self.diameter}")
-        if self.c_scale <= 0.0:
-            raise InvalidSpecError(f"c_scale must be positive, got {self.c_scale}")
+        # written as "not (valid)" so that NaN fails every check
+        for name in ("length", "diameter", "c_scale"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise InvalidSpecError(f"segment {name} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)

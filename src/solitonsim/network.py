@@ -14,6 +14,7 @@ the far end, "J" for a junction and "v(k)" for node k.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 from .errors import InvalidSpecError, TopologyError
@@ -35,20 +36,21 @@ class Segment:
 class Stimulus:
     """Ideal rectangular current injection at a node.
 
-    ``amplitude`` amperes flow into ``node`` for t in
+    ``amplitude`` amperes flow into ``node`` (an id or a label) for t in
     [t_start, t_start + duration); positive current depolarizes.
     """
 
-    node: NodeId
+    node: NodeId | str
     amplitude: float
-    t_start: float
-    duration: float
+    t_start: float = 1e-3
+    duration: float = 0.2e-3
 
     def __post_init__(self) -> None:
-        if self.t_start < 0.0:
-            raise InvalidSpecError(f"stimulus t_start must be >= 0, got {self.t_start}")
-        if self.duration <= 0.0:
-            raise InvalidSpecError(f"stimulus duration must be positive, got {self.duration}")
+        # written as "not (valid)" so that NaN fails every check
+        if not 0.0 <= self.t_start < math.inf:
+            raise InvalidSpecError(f"stimulus t_start must be finite and >= 0, got {self.t_start}")
+        if not 0.0 < self.duration < math.inf:
+            raise InvalidSpecError(f"stimulus duration must be finite and > 0, got {self.duration}")
 
 
 @dataclass(frozen=True)
@@ -143,8 +145,8 @@ def build_chain(
     """
     if n_segments < 1:
         raise InvalidSpecError(f"chain needs at least one segment, got {n_segments}")
-    if terminal_extra_c < 0.0:
-        raise InvalidSpecError(f"terminal_extra_c must be >= 0, got {terminal_extra_c}")
+    if not 0.0 <= terminal_extra_c < math.inf:
+        raise InvalidSpecError(f"terminal_extra_c must be finite and >= 0, got {terminal_extra_c}")
     nodes = list(range(1, n_segments + 2))
     segments = tuple(Segment(tail=k, head=k + 1, spec=spec) for k in range(1, n_segments + 1))
     labels = _label_nodes(nodes)
@@ -230,7 +232,7 @@ def build_taper(
     n_segments: int,
     d_start: float,
     d_end: float,
-    spec_template: SegmentSpec = SegmentSpec(),
+    spec: SegmentSpec = SegmentSpec(),
 ) -> Topology:
     """Chain whose diameter changes linearly from d_start to d_end (cm).
 
@@ -245,7 +247,7 @@ def build_taper(
     segments = []
     for k in range(1, n_segments + 1):
         d = d_start + (d_end - d_start) * (k - 0.5) / n_segments
-        segments.append(Segment(tail=k, head=k + 1, spec=replace(spec_template, diameter=d)))
+        segments.append(Segment(tail=k, head=k + 1, spec=replace(spec, diameter=d)))
     labels = _label_nodes(nodes)
     labels["A"] = 1
     labels["Z"] = n_segments + 1

@@ -8,55 +8,36 @@ files: ``<name>.csv`` with the probed waveforms (seconds and volts, 9
 significant digits) and ``<name>.summary.json`` with the resolved
 parameter set and analysis results.  Both outputs are byte-deterministic
 for a given scenario and package version.
+
+The schema is read from the code rather than written out here: each
+section's fields, types and defaults come from the dataclass it becomes
+(``SegmentSpec``, ``MembraneParams``, ``SimConfig``, ``Stimulus``, the
+analysis requests), and each builder kind's arguments from the signature
+of ``network.build_<kind>``.
 """
 
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
+import sys
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, get_type_hints
 
 import yaml
 
+from . import network
 from .analysis import DEFAULT_THRESHOLD_MV, detect_pulses, dispersion_metric, truth_table
-from .engine import Integrator, SimConfig, Waveform, simulate
+from .engine import SimConfig, Waveform, simulate
 from .errors import InvalidSpecError, NotApplicableError, ScenarioError
 from .membrane import MembraneParams, SegmentSpec
-from .network import (
-    Stimulus,
-    Topology,
-    build_and_gate,
-    build_chain,
-    build_junction,
-    build_taper,
-)
+from .network import NodeId, Stimulus, Topology
 
 BUILDER_KINDS = ("chain", "junction", "and_gate", "taper")
-
-_BUILDER_FIELDS: dict[str, dict[str, bool]] = {
-    # arg name -> required
-    "chain": {"n_segments": True, "terminal_extra_c": False},
-    "junction": {"branch_len": True, "trunk_len": True, "junction_c_scale": False},
-    "and_gate": {},
-    "taper": {"n_segments": True, "d_start": True, "d_end": True},
-}
-
-_PARAM_FIELDS = (
-    "v_rest",
-    "v_trigger",
-    "v_na_cutoff",
-    "v_k_cutoff",
-    "j_na",
-    "j_k",
-    "c_mem",
-    "g_mem",
-    "rho_internal",
-)
-
-_SEGMENT_FIELDS = ("length", "diameter", "active", "c_scale")
 
 
 @dataclass(frozen=True)
@@ -107,7 +88,55 @@ class ScenarioRun:
 
 
 # ---------------------------------------------------------------------------
-# validation helpers
+# schema: field name -> (type, required), read from the code
+# ---------------------------------------------------------------------------
+
+FieldTable = Mapping[str, tuple[Any, bool]]
+
+
+def _field_table(target: Any) -> FieldTable:
+    """A dataclass's fields or a builder's arguments (less ``spec``), with
+    their type hints; those without a default are required."""
+    hints = get_type_hints(target)
+    return {
+        name: (hints[name], param.default is param.empty)
+        for name, param in inspect.signature(target).parameters.items()
+        if name != "spec"
+    }
+
+
+# Both tables are read once, here, from the real classes and builders: a
+# profiler that later swaps a builder for a (*args, **kwargs) wrapper must
+# not change the schema.  build_topology looks the builder up at call time.
+_SECTIONS = {
+    cls: _field_table(cls)
+    for cls in (SegmentSpec, MembraneParams, SimConfig, Stimulus)
+    + (DispersionRequest, ReflectionRequest, TruthTableRequest)
+}
+_BUILDERS = {kind: _field_table(getattr(network, f"build_{kind}")) for kind in BUILDER_KINDS}
+
+_DOCUMENT: FieldTable = {
+    "name": (str, True),
+    "builder": (Mapping, True),  # its fields depend on builder.kind
+    "segment": (SegmentSpec, False),
+    "params": (MembraneParams, False),
+    "stimuli": (list, False),
+    "probes": (tuple[str, ...], True),
+    "config": (SimConfig, False),
+    "analysis": (Mapping, False),
+}
+
+_ANALYSIS: FieldTable = {
+    "threshold_mv": (float, False),
+    "pulses": (bool, False),
+    "dispersion": (DispersionRequest, False),
+    "reflection": (ReflectionRequest, False),
+    "truth_table": (TruthTableRequest, False),
+}
+
+
+# ---------------------------------------------------------------------------
+# the reader
 # ---------------------------------------------------------------------------
 
 
@@ -115,40 +144,60 @@ def _fail(path: str, message: str) -> ScenarioError:
     return ScenarioError(f"{path}: {message}")
 
 
-def _require_mapping(value: Any, path: str) -> Mapping[str, Any]:
-    if not isinstance(value, Mapping):
-        raise _fail(path, f"expected a mapping, got {type(value).__name__}")
-    return value
+# plain field type -> (accepted Python types, what the document must hold);
+# bool is an int to Python but never a number here, and "" is never a label
+_ACCEPTS = {
+    float: ((int, float), "a number"),
+    int: (int, "an integer"),
+    str: (str, "a non-empty string"),
+    bool: (bool, "true/false"),
+    NodeId | str: ((int, str), "a label or node id"),
+    list: (list, "a list"),
+    Mapping: (Mapping, "a mapping"),
+}
 
 
-def _require_number(value: Any, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise _fail(path, f"expected a number, got {value!r}")
-    return float(value)
+def _read_value(value: Any, typ: Any, path: str) -> Any:
+    """Check one document value against a field type; return it typed."""
+    if typ in _ACCEPTS:
+        accepted, what = _ACCEPTS[typ]
+        bool_as_number = typ is not bool and isinstance(value, bool)
+        if not isinstance(value, accepted) or bool_as_number or value == "":
+            raise _fail(path, f"expected {what}, got {value!r}")
+        if typ is float:
+            if not abs(value) <= sys.float_info.max:  # NaN, inf, or an int beyond float range
+                raise _fail(path, f"expected a finite number, got {value!r}")
+            return float(value)
+        return value
+    if typ in _SECTIONS:
+        try:
+            return typ(**_read(value, _SECTIONS[typ], path))
+        except InvalidSpecError as exc:
+            raise _fail(path, str(exc)) from exc
+    if typ == tuple[str, ...]:
+        if not isinstance(value, list) or not value:
+            raise _fail(path, "expected a non-empty list of labels")
+        return tuple(_read_value(item, str, f"{path}[{i}]") for i, item in enumerate(value))
+    choices = [member.value for member in typ]  # the one field type left is an Enum
+    if value not in choices:
+        raise _fail(path, f"expected one of {', '.join(choices)}, got {value!r}")
+    return typ(value)
 
 
-def _require_int(value: Any, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise _fail(path, f"expected an integer, got {value!r}")
-    return value
-
-
-def _require_str(value: Any, path: str) -> str:
-    if not isinstance(value, str) or not value:
-        raise _fail(path, f"expected a non-empty string, got {value!r}")
-    return value
-
-
-def _require_bool(value: Any, path: str) -> bool:
-    if not isinstance(value, bool):
-        raise _fail(path, f"expected true/false, got {value!r}")
-    return value
-
-
-def _reject_unknown(section: Mapping[str, Any], allowed: tuple[str, ...], path: str) -> None:
+def _read(section: Any, table: FieldTable, path: str) -> dict[str, Any]:
+    """Check a mapping against a field table; return the present fields, typed."""
+    section = _read_value(section, Mapping, path or "document")
+    prefix = f"{path}." if path else ""
     for key in section:
-        if key not in allowed:
-            raise _fail(f"{path}.{key}" if path else str(key), "unknown field")
+        if key not in table:
+            raise _fail(f"{prefix}{key}", "unknown field")
+    values = {}
+    for name, (typ, required) in table.items():
+        if name in section:
+            values[name] = _read_value(section[name], typ, prefix + name)
+        elif required:
+            raise _fail(prefix + name, "required field is missing")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -167,168 +216,35 @@ def parse_scenario(document: Any, *, sha256: str = "") -> Scenario:
     Raises:
         ScenarioError: any schema violation, naming the field path.
     """
-    doc = _require_mapping(document, "document")
-    _reject_unknown(
-        doc,
-        ("name", "builder", "segment", "params", "stimuli", "probes", "config", "analysis"),
-        "",
-    )
-
-    name = _require_str(doc.get("name"), "name")
+    doc = _read(document, _DOCUMENT, "")
+    name = doc["name"]
     if not all(ch.isalnum() or ch in "_.-" for ch in name):
         raise _fail("name", f"must be filesystem-safe (letters, digits, '_.-'), got {name!r}")
 
-    builder = _require_mapping(doc.get("builder"), "builder")
-    kind = _require_str(builder.get("kind"), "builder.kind")
-    if kind not in BUILDER_KINDS:
+    builder = dict(doc["builder"])
+    kind = _read_value(builder.pop("kind", None), str, "builder.kind")
+    if kind not in _BUILDERS:
         raise _fail("builder.kind", f"expected one of {', '.join(BUILDER_KINDS)}, got {kind!r}")
-    fields = _BUILDER_FIELDS[kind]
-    _reject_unknown(builder, ("kind", *fields), "builder")
-    args: dict[str, Any] = {}
-    for arg, required in fields.items():
-        if arg in builder:
-            if arg in ("n_segments", "branch_len", "trunk_len"):
-                args[arg] = _require_int(builder[arg], f"builder.{arg}")
-            else:
-                args[arg] = _require_number(builder[arg], f"builder.{arg}")
-        elif required:
-            raise _fail(f"builder.{arg}", "required field is missing")
-
-    segment_doc = _require_mapping(doc.get("segment", {}), "segment")
-    _reject_unknown(segment_doc, _SEGMENT_FIELDS, "segment")
-    seg_kwargs: dict[str, Any] = {}
-    for key in _SEGMENT_FIELDS:
-        if key in segment_doc:
-            if key == "active":
-                seg_kwargs[key] = _require_bool(segment_doc[key], f"segment.{key}")
-            else:
-                seg_kwargs[key] = _require_number(segment_doc[key], f"segment.{key}")
-    try:
-        segment = SegmentSpec(**seg_kwargs)
-    except InvalidSpecError as exc:
-        raise _fail("segment", str(exc)) from exc
-
-    params_doc = _require_mapping(doc.get("params", {}), "params")
-    _reject_unknown(params_doc, _PARAM_FIELDS, "params")
-    param_kwargs = {
-        key: _require_number(params_doc[key], f"params.{key}")
-        for key in _PARAM_FIELDS
-        if key in params_doc
-    }
-    try:
-        params = MembraneParams(**param_kwargs)
-    except InvalidSpecError as exc:
-        raise _fail("params", str(exc)) from exc
-
-    stimuli_doc = doc.get("stimuli", [])
-    if not isinstance(stimuli_doc, list):
-        raise _fail("stimuli", f"expected a list, got {type(stimuli_doc).__name__}")
-    stimuli = []
-    for i, item in enumerate(stimuli_doc):
-        path = f"stimuli[{i}]"
-        entry = _require_mapping(item, path)
-        _reject_unknown(entry, ("node", "amplitude", "t_start", "duration"), path)
-        if "node" not in entry:
-            raise _fail(f"{path}.node", "required field is missing")
-        node = entry["node"]
-        if isinstance(node, bool) or not isinstance(node, (str, int)):
-            raise _fail(f"{path}.node", f"expected a label or node id, got {node!r}")
-        if "amplitude" not in entry:
-            raise _fail(f"{path}.amplitude", "required field is missing")
-        try:
-            stimuli.append(
-                Stimulus(
-                    node=node,
-                    amplitude=_require_number(entry["amplitude"], f"{path}.amplitude"),
-                    t_start=_require_number(entry.get("t_start", 1e-3), f"{path}.t_start"),
-                    duration=_require_number(entry.get("duration", 0.2e-3), f"{path}.duration"),
-                )
-            )
-        except InvalidSpecError as exc:
-            raise _fail(path, str(exc)) from exc
-
-    probes_doc = doc.get("probes")
-    if not isinstance(probes_doc, list) or not probes_doc:
-        raise _fail("probes", "expected a non-empty list of labels")
-    probes = tuple(_require_str(p, f"probes[{i}]") for i, p in enumerate(probes_doc))
-
-    config_doc = _require_mapping(doc.get("config", {}), "config")
-    _reject_unknown(config_doc, ("dt", "t_end", "record_stride", "integrator"), "config")
-    cfg_kwargs: dict[str, Any] = {}
-    for key in ("dt", "t_end"):
-        if key in config_doc:
-            cfg_kwargs[key] = _require_number(config_doc[key], f"config.{key}")
-    if "record_stride" in config_doc:
-        cfg_kwargs["record_stride"] = _require_int(config_doc["record_stride"], "config.record_stride")
-    if "integrator" in config_doc:
-        label = _require_str(config_doc["integrator"], "config.integrator")
-        try:
-            cfg_kwargs["integrator"] = Integrator(label)
-        except ValueError:
-            choices = ", ".join(i.value for i in Integrator)
-            raise _fail("config.integrator", f"expected one of {choices}, got {label!r}") from None
-    try:
-        config = SimConfig(**cfg_kwargs)
-    except InvalidSpecError as exc:
-        raise _fail("config", str(exc)) from exc
-
-    analysis_doc = _require_mapping(doc.get("analysis", {}), "analysis")
-    _reject_unknown(
-        analysis_doc,
-        ("threshold_mv", "pulses", "dispersion", "reflection", "truth_table"),
-        "analysis",
+    stimuli = tuple(
+        _read_value(item, Stimulus, f"stimuli[{i}]")
+        for i, item in enumerate(doc.get("stimuli", []))
     )
-    threshold = DEFAULT_THRESHOLD_MV
-    if "threshold_mv" in analysis_doc:
-        threshold = _require_number(analysis_doc["threshold_mv"], "analysis.threshold_mv")
-    pulses = True
-    if "pulses" in analysis_doc:
-        pulses = _require_bool(analysis_doc["pulses"], "analysis.pulses")
-
-    dispersion = None
-    if "dispersion" in analysis_doc:
-        sect = _require_mapping(analysis_doc["dispersion"], "analysis.dispersion")
-        _reject_unknown(sect, ("early", "late"), "analysis.dispersion")
-        dispersion = DispersionRequest(
-            early=_require_str(sect.get("early"), "analysis.dispersion.early"),
-            late=_require_str(sect.get("late"), "analysis.dispersion.late"),
-        )
-
-    reflection = None
-    if "reflection" in analysis_doc:
-        sect = _require_mapping(analysis_doc["reflection"], "analysis.reflection")
-        _reject_unknown(sect, ("node",), "analysis.reflection")
-        reflection = ReflectionRequest(node=_require_str(sect.get("node"), "analysis.reflection.node"))
-
-    truth = None
-    if "truth_table" in analysis_doc:
-        sect = _require_mapping(analysis_doc["truth_table"], "analysis.truth_table")
-        _reject_unknown(sect, ("inputs", "output"), "analysis.truth_table")
-        inputs_doc = sect.get("inputs")
-        if not isinstance(inputs_doc, list) or not inputs_doc:
-            raise _fail("analysis.truth_table.inputs", "expected a non-empty list of labels")
-        truth = TruthTableRequest(
-            inputs=tuple(
-                _require_str(x, f"analysis.truth_table.inputs[{i}]")
-                for i, x in enumerate(inputs_doc)
-            ),
-            output=_require_str(sect.get("output"), "analysis.truth_table.output"),
-        )
+    analysis = _read(doc.get("analysis", {}), _ANALYSIS, "analysis")
 
     scenario = Scenario(
         name=name,
         builder_kind=kind,
-        builder_args=args,
-        segment=segment,
-        params=params,
-        stimuli=tuple(stimuli),
-        probes=probes,
-        config=config,
-        threshold_mv=threshold,
-        pulses=pulses,
-        dispersion=dispersion,
-        reflection=reflection,
-        truth=truth,
+        builder_args=_read(builder, _BUILDERS[kind], "builder"),
+        segment=doc.get("segment", SegmentSpec()),
+        params=doc.get("params", MembraneParams()),
+        stimuli=stimuli,
+        probes=doc["probes"],
+        config=doc.get("config", SimConfig()),
+        threshold_mv=analysis.get("threshold_mv", DEFAULT_THRESHOLD_MV),
+        pulses=analysis.get("pulses", True),
+        dispersion=analysis.get("dispersion"),
+        reflection=analysis.get("reflection"),
+        truth=analysis.get("truth_table"),
         sha256=sha256,
     )
     # build once here so label mistakes surface at load time, with paths
@@ -336,26 +252,17 @@ def parse_scenario(document: Any, *, sha256: str = "") -> Scenario:
         topology = build_topology(scenario)
     except InvalidSpecError as exc:
         raise _fail("builder", str(exc)) from exc
-    for i, probe in enumerate(probes):
+    labels = [(f"probes[{i}]", probe) for i, probe in enumerate(scenario.probes)]
+    labels += [(f"stimuli[{i}].node", stim.node) for i, stim in enumerate(stimuli)]
+    for key in ("dispersion", "reflection", "truth_table"):
+        for value in vars(analysis[key]).values() if key in analysis else ():
+            for label in value if isinstance(value, tuple) else (value,):
+                labels.append((f"analysis.{key}", label))
+    for path, label in labels:
         try:
-            topology.resolve(probe)
+            topology.resolve(label)
         except KeyError:
-            raise _fail(f"probes[{i}]", f"label {probe!r} does not exist in the topology") from None
-    for i, stimulus in enumerate(scenario.stimuli):
-        try:
-            topology.resolve(stimulus.node)
-        except KeyError:
-            raise _fail(f"stimuli[{i}].node", f"{stimulus.node!r} does not exist in the topology") from None
-    for req, base in (
-        ((dispersion.early, dispersion.late) if dispersion else (), "analysis.dispersion"),
-        ((reflection.node,) if reflection else (), "analysis.reflection"),
-        ((*truth.inputs, truth.output) if truth else (), "analysis.truth_table"),
-    ):
-        for label in req:
-            try:
-                topology.resolve(label)
-            except KeyError:
-                raise _fail(base, f"label {label!r} does not exist in the topology") from None
+            raise _fail(path, f"label {label!r} does not exist in the topology") from None
     return scenario
 
 
@@ -407,22 +314,9 @@ def load_bundled_scenario(name: str) -> Scenario:
 
 
 def build_topology(scenario: Scenario) -> Topology:
-    """Construct the scenario's network."""
-    args = dict(scenario.builder_args)
-    if scenario.builder_kind == "chain":
-        return build_chain(
-            args["n_segments"], scenario.segment, terminal_extra_c=args.get("terminal_extra_c", 0.0)
-        )
-    if scenario.builder_kind == "junction":
-        return build_junction(
-            args["branch_len"],
-            args["trunk_len"],
-            scenario.segment,
-            junction_c_scale=args.get("junction_c_scale", 1.0),
-        )
-    if scenario.builder_kind == "and_gate":
-        return build_and_gate(scenario.segment)
-    return build_taper(args["n_segments"], args["d_start"], args["d_end"], scenario.segment)
+    """Construct the scenario's network with ``network.build_<kind>``."""
+    build = getattr(network, f"build_{scenario.builder_kind}")
+    return build(spec=scenario.segment, **scenario.builder_args)
 
 
 def _pulse_record(event) -> dict[str, float]:
@@ -451,10 +345,13 @@ def evaluate_scenario(scenario: Scenario) -> ScenarioRun:
     if scenario.dispersion is not None:
         req = scenario.dispersion
         try:
-            value: Any = _dispersion(waveform, req, scenario.threshold_mv)
+            value = dispersion_metric(waveform, req.early, req.late, scenario.threshold_mv)
         except NotApplicableError as exc:
-            value = {"applicable": False, "reason": str(exc)}
-        analysis["dispersion"] = value
+            analysis["dispersion"] = {"applicable": False, "reason": str(exc)}
+        else:
+            analysis["dispersion"] = {
+                "applicable": True, "early": req.early, "late": req.late, "value": value
+            }
     if scenario.reflection is not None:
         count = len(detect_pulses(waveform, scenario.reflection.node, scenario.threshold_mv))
         analysis["reflection"] = {
@@ -486,32 +383,14 @@ def evaluate_scenario(scenario: Scenario) -> ScenarioRun:
             "builder": {"kind": scenario.builder_kind, **dict(scenario.builder_args)},
             "segment": asdict(scenario.segment),
             "params": asdict(scenario.params),
-            "config": {
-                "dt": scenario.config.dt,
-                "t_end": scenario.config.t_end,
-                "record_stride": scenario.config.record_stride,
-                "integrator": scenario.config.integrator.value,
-            },
-            "stimuli": [
-                {
-                    "node": stim.node if isinstance(stim.node, str) else int(stim.node),
-                    "amplitude": stim.amplitude,
-                    "t_start": stim.t_start,
-                    "duration": stim.duration,
-                }
-                for stim in scenario.stimuli
-            ],
+            "config": {**asdict(scenario.config), "integrator": scenario.config.integrator.value},
+            "stimuli": [asdict(stim) for stim in scenario.stimuli],
             "probes": list(scenario.probes),
             "threshold_mv": scenario.threshold_mv,
         },
         "analysis": analysis,
     }
     return ScenarioRun(scenario=scenario, topology=topology, waveform=waveform, summary=summary)
-
-
-def _dispersion(waveform: Waveform, req: DispersionRequest, threshold_mv: float) -> dict[str, Any]:
-    value = dispersion_metric(waveform, req.early, req.late, threshold_mv)
-    return {"applicable": True, "early": req.early, "late": req.late, "value": value}
 
 
 def write_waveform_csv(path: Path, waveform: Waveform, probes: tuple[str, ...]) -> None:

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import detect_pulses, rising_edge_slope
+from .analysis import detect_pulses, first_phase_time, rising_edge_slope
 from .engine import SimConfig, refine_check, simulate
 from .errors import NotApplicableError
 from .membrane import GateState, MembraneParams, SegmentSpec, derive_elements
@@ -87,24 +87,14 @@ def criterion_1_elements() -> CriterionResult:
     return CriterionResult("criterion_1_elements", True, detail)
 
 
-def _phase_entry_time(run: ScenarioRun, segment_index: int, state: GateState, after: float) -> float | None:
-    """First recorded time > after at which a segment shows the phase."""
-    phases = run.waveform.phase(segment_index)
-    times = run.waveform.times
-    hits = np.flatnonzero((phases == state.value) & (times > after))
-    if len(hits) == 0:
-        return None
-    return float(times[hits[0]])
-
-
 def criterion_2_patch(run: ScenarioRun) -> CriterionResult:
     """Single-patch firing: channel cutoff intervals and full recovery."""
     name = "criterion_2_patch"
-    trig = _phase_entry_time(run, 0, GateState.FIRING, after=-1.0)
+    trig = first_phase_time(run.waveform, 0, GateState.FIRING)
     if trig is None:
         return CriterionResult(name, False, "patch never fired")
-    na_off = _phase_entry_time(run, 0, GateState.FALLING, after=trig)
-    k_off = _phase_entry_time(run, 0, GateState.REST, after=trig)
+    na_off = first_phase_time(run.waveform, 0, GateState.FALLING, after=trig)
+    k_off = first_phase_time(run.waveform, 0, GateState.REST, after=trig)
     if na_off is None or k_off is None:
         return CriterionResult(name, False, "channel phases never completed")
     na_interval = na_off - trig

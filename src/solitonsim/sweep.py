@@ -13,22 +13,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Any, Callable, Mapping, Sequence
 
-from .analysis import detect_pulses, dispersion_metric, truth_table
-from .engine import refine_check, simulate
+from .analysis import detect_pulses, dispersion_metric, logic_output, truth_table
+from .engine import Waveform, refine_check, simulate
 from .errors import NotApplicableError, ScenarioError
+from .network import Topology
 from .scenario import Scenario, build_topology
-
-SWEEP_PARAMS = ("amplitude", "junction_c_scale", "taper_ratio", "dt", "skew")
-SWEEP_METRICS = (
-    "logic",
-    "output_pulses",
-    "peak_mv",
-    "dispersion",
-    "truth_ab",
-    "refine_discrepancy",
-)
 
 
 @dataclass(frozen=True)
@@ -41,10 +32,112 @@ def sweep_values(start: float, stop: float, steps: int) -> list[float]:
     """Inclusive evenly spaced grid; steps is the number of points."""
     if steps < 1:
         raise ScenarioError(f"sweep steps must be >= 1, got {steps}")
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ScenarioError(f"sweep bounds must be finite, got {start} and {stop}")
     if steps == 1:
         return [float(start)]
     span = float(stop) - float(start)
     return [float(start) + span * i / (steps - 1) for i in range(steps)]
+
+
+def _amplitude(scenario: Scenario, value: float) -> Scenario:
+    if not scenario.stimuli:
+        raise ScenarioError("amplitude sweep needs at least one stimulus")
+    return replace(scenario, stimuli=tuple(replace(s, amplitude=value) for s in scenario.stimuli))
+
+
+def _builder_arg(kind: str, arg: str, derive: Callable[[Mapping, float], Any] = lambda args, v: v):
+    """Applier that sets builder argument ``arg`` to derive(builder_args, value)."""
+
+    def apply(scenario: Scenario, value: float) -> Scenario:
+        args = scenario.builder_args
+        if scenario.builder_kind != kind:
+            raise ScenarioError(
+                f"sweeping builder.{arg} needs a {kind} builder, got {scenario.builder_kind!r}"
+            )
+        return replace(scenario, builder_args={**args, arg: derive(args, value)})
+
+    return apply
+
+
+def _end_diameter(args: Mapping, ratio: float) -> float:
+    if not ratio > 0.0:
+        raise ScenarioError(f"taper_ratio must be positive, got {ratio}")
+    return args["d_start"] / ratio
+
+
+# parameter -> function (scenario, value) -> swept scenario
+_APPLIERS = {
+    "amplitude": _amplitude,
+    "junction_c_scale": _builder_arg("junction", "junction_c_scale"),
+    "taper_ratio": _builder_arg("taper", "d_end", _end_diameter),
+    "dt": lambda scenario, value: replace(scenario, config=replace(scenario.config, dt=value)),
+    # not a scenario field: run_sweep passes it to the metric as skew_s
+    "skew": lambda scenario, value: scenario,
+}
+
+
+def _on_waveform(reduce: Callable[[Scenario, Waveform], float]):
+    """Metric that simulates the scenario once and reduces the waveform."""
+
+    def metric(scenario: Scenario, topology: Topology, _skew_s: float) -> float:
+        waveform = simulate(topology, scenario.stimuli, scenario.config, scenario.params)
+        return reduce(scenario, waveform)
+
+    return metric
+
+
+def _dispersion(scenario: Scenario, waveform: Waveform) -> float:
+    if scenario.dispersion is None:
+        raise ScenarioError("dispersion metric needs an analysis.dispersion request")
+    req = scenario.dispersion
+    try:
+        return dispersion_metric(waveform, req.early, req.late, scenario.threshold_mv)
+    except NotApplicableError:
+        return math.nan
+
+
+def _truth_ab(scenario: Scenario, topology: Topology, skew_s: float) -> float:
+    if scenario.truth is None:
+        raise ScenarioError("truth_ab metric needs an analysis.truth_table request")
+    req = scenario.truth
+    table = truth_table(
+        topology,
+        req.inputs,
+        req.output,
+        combinations=[req.inputs],
+        skew={req.inputs[-1]: skew_s} if skew_s else None,
+        config=scenario.config,
+        params=scenario.params,
+        threshold_mv=scenario.threshold_mv,
+    )
+    return 1.0 if table[req.inputs] else 0.0
+
+
+# metric -> function (scenario, topology, skew_s) -> float
+_METRICS = {
+    "logic": _on_waveform(
+        lambda s, w: 1.0 if logic_output(w, s.probes[-1], s.threshold_mv) else 0.0
+    ),
+    "output_pulses": _on_waveform(
+        lambda s, w: float(len(detect_pulses(w, s.probes[-1], s.threshold_mv)))
+    ),
+    "peak_mv": _on_waveform(lambda s, w: float(w.voltage(s.probes[-1]).max())),
+    "dispersion": _on_waveform(_dispersion),
+    "truth_ab": _truth_ab,
+    "refine_discrepancy": lambda s, topology, _skew_s: refine_check(
+        topology, s.stimuli, s.config, s.params
+    ).max_discrepancy_mv,
+}
+
+SWEEP_PARAMS = tuple(_APPLIERS)
+SWEEP_METRICS = tuple(_METRICS)
+
+
+def _lookup(table: dict[str, Callable], what: str, name: str) -> Callable:
+    if name not in table:
+        raise ScenarioError(f"unknown sweep {what} {name!r}; expected one of {', '.join(table)}")
+    return table[name]
 
 
 def apply_param(scenario: Scenario, param: str, value: float) -> Scenario:
@@ -53,36 +146,7 @@ def apply_param(scenario: Scenario, param: str, value: float) -> Scenario:
     ``skew`` is not a scenario field: it offsets the last truth-table
     input at metric time, so here it leaves the scenario unchanged.
     """
-    if param == "amplitude":
-        if not scenario.stimuli:
-            raise ScenarioError("amplitude sweep needs at least one stimulus")
-        stimuli = tuple(replace(s, amplitude=value) for s in scenario.stimuli)
-        return replace(scenario, stimuli=stimuli)
-    if param == "junction_c_scale":
-        if scenario.builder_kind != "junction":
-            raise ScenarioError(
-                f"junction_c_scale sweep needs a junction builder, got {scenario.builder_kind!r}"
-            )
-        args = dict(scenario.builder_args)
-        args["junction_c_scale"] = value
-        return replace(scenario, builder_args=args)
-    if param == "taper_ratio":
-        if scenario.builder_kind != "taper":
-            raise ScenarioError(
-                f"taper_ratio sweep needs a taper builder, got {scenario.builder_kind!r}"
-            )
-        if value <= 0.0:
-            raise ScenarioError(f"taper_ratio must be positive, got {value}")
-        args = dict(scenario.builder_args)
-        args["d_end"] = args["d_start"] / value
-        return replace(scenario, builder_args=args)
-    if param == "dt":
-        return replace(scenario, config=replace(scenario.config, dt=value))
-    if param == "skew":
-        return scenario
-    raise ScenarioError(
-        f"unknown sweep parameter {param!r}; expected one of {', '.join(SWEEP_PARAMS)}"
-    )
+    return _lookup(_APPLIERS, "parameter", param)(scenario, value)
 
 
 def compute_metric(scenario: Scenario, metric: str, *, skew_s: float = 0.0) -> float:
@@ -95,54 +159,8 @@ def compute_metric(scenario: Scenario, metric: str, *, skew_s: float = 0.0) -> f
     truth_ab: 1.0 when the all-inputs-driven truth-table row is true.
     refine_discrepancy: worst dt versus dt/2 voltage gap, millivolts.
     """
-    if metric not in SWEEP_METRICS:
-        raise ScenarioError(
-            f"unknown sweep metric {metric!r}; expected one of {', '.join(SWEEP_METRICS)}"
-        )
-
-    topology = build_topology(scenario)
-
-    if metric == "truth_ab":
-        if scenario.truth is None:
-            raise ScenarioError("truth_ab metric needs an analysis.truth_table request")
-        req = scenario.truth
-        skew = {req.inputs[-1]: skew_s} if skew_s else None
-        table = truth_table(
-            topology,
-            req.inputs,
-            req.output,
-            combinations=[req.inputs],
-            skew=skew,
-            config=scenario.config,
-            params=scenario.params,
-            threshold_mv=scenario.threshold_mv,
-        )
-        return 1.0 if table[req.inputs] else 0.0
-
-    if metric == "refine_discrepancy":
-        report = refine_check(topology, scenario.stimuli, scenario.config, scenario.params)
-        return report.max_discrepancy_mv
-
-    waveform = simulate(topology, scenario.stimuli, scenario.config, scenario.params)
-    probe = scenario.probes[-1]
-    if metric == "logic":
-        return 1.0 if detect_pulses(waveform, probe, scenario.threshold_mv) else 0.0
-    if metric == "output_pulses":
-        return float(len(detect_pulses(waveform, probe, scenario.threshold_mv)))
-    if metric == "peak_mv":
-        return float(waveform.voltage(probe).max())
-    # dispersion
-    if scenario.dispersion is None:
-        raise ScenarioError("dispersion metric needs an analysis.dispersion request")
-    try:
-        return dispersion_metric(
-            waveform,
-            scenario.dispersion.early,
-            scenario.dispersion.late,
-            scenario.threshold_mv,
-        )
-    except NotApplicableError:
-        return math.nan
+    measure = _lookup(_METRICS, "metric", metric)
+    return measure(scenario, build_topology(scenario), skew_s)
 
 
 def run_sweep(
@@ -153,20 +171,12 @@ def run_sweep(
     out_path: str | Path | None = None,
 ) -> list[SweepPoint]:
     """Evaluate the metric at every value; optionally write the CSV."""
-    if param not in SWEEP_PARAMS:
-        raise ScenarioError(
-            f"unknown sweep parameter {param!r}; expected one of {', '.join(SWEEP_PARAMS)}"
-        )
-    if metric not in SWEEP_METRICS:
-        raise ScenarioError(
-            f"unknown sweep metric {metric!r}; expected one of {', '.join(SWEEP_METRICS)}"
-        )
+    apply = _lookup(_APPLIERS, "parameter", param)
+    _lookup(_METRICS, "metric", metric)
     points = []
     for value in values:
-        if param == "skew":
-            result = compute_metric(scenario, metric, skew_s=value)
-        else:
-            result = compute_metric(apply_param(scenario, param, value), metric)
+        skew_s = value if param == "skew" else 0.0
+        result = compute_metric(apply(scenario, value), metric, skew_s=skew_s)
         points.append(SweepPoint(value=float(value), metric=result))
     if out_path is not None:
         path = Path(out_path)

@@ -7,6 +7,9 @@ inputs converted to SI), independent of the module under test.
 
 from __future__ import annotations
 
+import math
+from dataclasses import fields
+
 import pytest
 
 from solitonsim.errors import InvalidSpecError
@@ -108,8 +111,26 @@ def test_density_fields_must_be_positive(field):
         MembraneParams(**{field: 0.0})
 
 
+@pytest.mark.parametrize("name", [f.name for f in fields(MembraneParams)])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_membrane_params_must_be_finite(name, value):
+    with pytest.raises(InvalidSpecError, match=name):
+        MembraneParams(**{name: value})
+
+
 @pytest.mark.parametrize(
-    "kwargs", [{"length": 0.0}, {"diameter": -1e-4}, {"c_scale": 0.0}]
+    "kwargs",
+    [
+        {"length": 0.0},
+        {"diameter": -1e-4},
+        {"c_scale": 0.0},
+        {"length": math.nan},
+        {"diameter": math.nan},
+        {"c_scale": math.nan},
+        {"length": math.inf},
+        {"diameter": math.inf},
+        {"c_scale": math.inf},
+    ],
 )
 def test_segment_geometry_must_be_positive(kwargs):
     with pytest.raises(InvalidSpecError):

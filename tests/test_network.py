@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from solitonsim.errors import InvalidSpecError, TopologyError
@@ -182,6 +184,8 @@ def test_resolve_accepts_ids_and_labels():
         lambda: build_junction(5, 5, junction_c_scale=0.0),
         lambda: build_taper(0, 1e-4, 0.5e-4),
         lambda: build_taper(10, 1e-4, 0.0),
+        lambda: build_chain(3, terminal_extra_c=math.nan),
+        lambda: build_chain(3, terminal_extra_c=math.inf),
     ],
 )
 def test_builder_argument_validation(call):
@@ -213,3 +217,7 @@ def test_stimulus_validation():
         Stimulus(node=1, amplitude=10e-9, t_start=-1e-3, duration=0.2e-3)
     with pytest.raises(InvalidSpecError):
         Stimulus(node=1, amplitude=10e-9, t_start=0.0, duration=0.0)
+    non_finite = ((math.nan, 0.2e-3), (math.inf, 0.2e-3), (0.0, math.nan), (0.0, math.inf))
+    for t_start, duration in non_finite:
+        with pytest.raises(InvalidSpecError):
+            Stimulus(node="A", amplitude=10e-9, t_start=t_start, duration=duration)

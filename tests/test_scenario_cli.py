@@ -4,13 +4,17 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 import re
 
 import pytest
 
+from solitonsim import network
 from solitonsim.cli import main
 from solitonsim.errors import ScenarioError
 from solitonsim.scenario import (
+    BUILDER_KINDS,
+    build_topology,
     bundled_scenario_names,
     evaluate_scenario,
     load_bundled_scenario,
@@ -50,6 +54,9 @@ def test_parse_accepts_base_document():
     assert scenario.probes == ("v(2)", "v(3)")
     assert scenario.config.t_end == pytest.approx(5.0e-3)
     assert scenario.stimuli[0].amplitude == pytest.approx(6.0e-9)
+    # timing left out takes the Stimulus defaults
+    short = parse_scenario(make_doc(stimuli=[{"node": "A", "amplitude": 6.0e-9}]))
+    assert (short.stimuli[0].t_start, short.stimuli[0].duration) == (1e-3, 0.2e-3)
 
 
 def broken_documents():
@@ -115,6 +122,23 @@ def broken_documents():
     doc = make_doc(analysis={"dispersion": {"early": "v(2)", "late": "v(77)"}})
     cases.append(("dispersion_bad_label", doc, "analysis.dispersion:"))
 
+    # non-finite numbers, as YAML's .nan and .inf decode
+    doc = make_doc(segment={"diameter": math.nan})
+    cases.append(("nan_segment_diameter", doc, "segment.diameter: expected a finite number"))
+
+    doc = make_doc(params={"c_mem": math.nan})
+    cases.append(("nan_params_c_mem", doc, "params.c_mem: expected a finite number"))
+
+    doc = make_doc(builder={"kind": "chain", "n_segments": 2, "terminal_extra_c": math.nan})
+    cases.append(("nan_terminal_extra_c", doc, "builder.terminal_extra_c: expected a finite number"))
+
+    doc = make_doc()
+    doc["stimuli"][0]["duration"] = math.inf
+    cases.append(("inf_duration", doc, "stimuli[0].duration: expected a finite number"))
+
+    doc = make_doc(analysis={"threshold_mv": math.nan})
+    cases.append(("nan_threshold", doc, "analysis.threshold_mv: expected a finite number"))
+
     return cases
 
 
@@ -125,6 +149,45 @@ def broken_documents():
 def test_schema_violations_name_the_field(doc, fragment):
     with pytest.raises(ScenarioError, match=re.escape(fragment)):
         parse_scenario(doc)
+
+
+def test_non_finite_yaml_numbers_exit_2(tmp_path, capsys):
+    path = tmp_path / "nan_diameter.yaml"
+    path.write_text(
+        "name: nan_diameter\n"
+        "builder: {kind: chain, n_segments: 2}\n"
+        "segment: {diameter: .nan}\n"
+        "probes: [v(2)]\n"
+    )
+    assert main(["run", str(path), "--out-dir", str(tmp_path)]) == 2
+    assert "segment.diameter: expected a finite number" in capsys.readouterr().err
+
+
+def test_builder_schema_survives_wrapped_builders(monkeypatch):
+    """A profiler may swap each network.build_<kind> for a (*args, **kwargs)
+    wrapper; scenarios must still reach the builder through it, with their
+    builder arguments checked against the real signature."""
+    calls = []
+
+    def wrap(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+
+        wrapper.__wrapped__ = fn
+        return wrapper
+
+    for kind in BUILDER_KINDS:
+        monkeypatch.setattr(network, f"build_{kind}", wrap(getattr(network, f"build_{kind}")))
+    for name in bundled_scenario_names():
+        build_topology(load_bundled_scenario(name))
+    assert set(calls) == {f"build_{kind}" for kind in BUILDER_KINDS}
+    with pytest.raises(ScenarioError, match=re.escape("builder.n_segments: required")):
+        parse_scenario(make_doc(builder={"kind": "chain"}))
+    with pytest.raises(ScenarioError, match=re.escape("builder.d_end: expected a number")):
+        parse_scenario(
+            make_doc(builder={"kind": "taper", "n_segments": 2, "d_start": 1e-4, "d_end": "x"})
+        )
 
 
 def test_load_scenario_from_file(tmp_path):
@@ -380,6 +443,21 @@ def test_cli_sweep_unknown_metric(tmp_path, capsys):
     )
     assert code == 2
     assert "unknown sweep metric" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "scenario,param",
+    [("fig16_taper", "taper_ratio"), ("fig13_xor", "junction_c_scale"), ("fig13_xor", "skew")],
+)
+def test_cli_sweep_non_finite_bounds(scenario, param, tmp_path, capsys):
+    code = main(
+        ["sweep", scenario, "--param", param, "--from", "nan", "--to", "nan", "--steps", "1",
+         "--metric", "logic", "--out-dir", str(tmp_path)]
+    )
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "sweep bounds must be finite" in err
+    assert "Traceback" not in err
 
 
 def test_cli_requires_a_command():

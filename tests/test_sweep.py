@@ -71,6 +71,11 @@ def test_sweep_values_inclusive_grid():
     assert sweep_values(3.0, 9.0, 1) == [3.0]
     with pytest.raises(ScenarioError):
         sweep_values(1.0, 2.0, 0)
+    for start, stop in ((math.nan, 2.0), (1.0, math.nan), (math.inf, 2.0), (1.0, -math.inf)):
+        with pytest.raises(ScenarioError, match="finite"):
+            sweep_values(start, stop, 3)
+    with pytest.raises(ScenarioError, match="finite"):
+        sweep_values(math.nan, math.nan, 1)
 
 
 def test_apply_amplitude_rewrites_all_stimuli():
