@@ -10,22 +10,23 @@ Implementation choices worth knowing:
 
 * The solve runs in deviation-from-rest coordinates (U = V - v_rest).  The
   leak battery term cancels identically, so a network with no stimulus
-  stays at exactly U = 0: the zero right-hand side solves to exactly zero,
-  bit for bit, under either scheme.
-* Bare rail nodes (no shunt capacitance) make the system an index-1 DAE.
-  Backward Euler handles those rows naturally.  A trapezoidal row would
-  average the algebraic constraint across two steps and ring on an
-  inconsistent start, so for C = 0 rows the trapezoidal scheme falls back
-  to the backward-Euler form: the constraint is enforced at the new time
-  point.
-* Either scheme is one affine step  U' = P U + q.  The step matrix is
-  constant, so it is LU-factorized once per run and the one-step
-  propagator P is formed from it, together with the stacked powers P^j
-  and partial sums S_j = P^0 + ... + P^(j-1) up to a block length K that
-  a fixed memory budget allows for the node count.  The forcing q (channel
-  sources plus stimuli) changes only at breakpoints: stimulus on/off steps
-  and gate transitions.  Between breakpoints, up to K steps come out of one
-  matrix product  U_j = P^j U_0 + S_j q.
+  stays at exactly U = 0: a zero forcing propagates to exactly zero, bit
+  for bit, under either scheme.
+* Bare rail nodes (no shunt capacitance) obey G_rr U_r + G_rc U_c = b_r
+  at every new time point under both schemes.  They are eliminated once
+  per run (Kron reduction): U_r = G_rr^-1 b_r - K U_c, K = G_rr^-1 G_rc,
+  leaves  C_c dU_c/dt = -G_red U_c + b_c - K^T b_r  with the Schur
+  complement G_red = G_cc - G_rc^T K, and the scheme steps that ODE.  The
+  trapezoidal step 1 alone averages the given starting rail values, not
+  the constrained ones; a difference (an initial voltage at or beside a
+  rail, a rail stimulus at t = 0) enters that step as extra forcing.
+* With D = C_c^-1/2, D G_red D = V diag(lam) V^T is diagonalized once per
+  run, and a step is a scalar map per mode, z' = r z + g, with
+  r = 1/(1 + h lam) (backward Euler) or (1 - h lam/2)/(1 + h lam/2)
+  (trapezoidal).  The forcing g (channel sources plus stimuli) changes
+  only at breakpoints: stimulus on/off steps and gate transitions.  In
+  between, j steps on is r^j z + (r^0 + ... + r^(j-1)) g from per-run
+  tables, and one matrix product maps a block of them to node voltages.
 * Channel source states are frozen within a step.  After each block the
   head voltages of every step are screened against the window in which
   each segment's phase cannot change; the block is cut at the first step
@@ -45,7 +46,7 @@ from enum import Enum
 import warnings
 
 import numpy as np
-from scipy.linalg import LinAlgError, LinAlgWarning, lu_factor, lu_solve
+from scipy.linalg import LinAlgError, LinAlgWarning, eigh, lu_factor, lu_solve
 
 from .errors import InstabilityError, InvalidSpecError, NotApplicableError, TopologyError
 from .membrane import GateState, MembraneParams, derive_elements, source_current, step_gate
@@ -176,54 +177,34 @@ def _assemble(topology: Topology, params: MembraneParams):
     return index, cap, cond, elements, heads
 
 
-def _factorize(lhs: np.ndarray):
-    """LU-factor the step matrix; reject singular systems."""
+def _factorize(matrix: np.ndarray):
+    """LU-factor the rail conductance block; reject singular systems."""
     try:
         with warnings.catch_warnings():
             # exact singularity is diagnosed below; no need for the warning
             warnings.simplefilter("ignore", LinAlgWarning)
-            factor = lu_factor(lhs)
+            factor = lu_factor(matrix)
     except LinAlgError as exc:
         raise TopologyError(f"degenerate topology: {exc}") from exc
     diag = np.abs(np.diag(factor[0]))
-    scale = np.abs(lhs).max()
-    if scale == 0.0 or diag.min() <= scale * 1e-14:
+    scale = np.abs(matrix).max(initial=0.0)
+    if diag.size and (scale == 0.0 or diag.min() <= scale * 1e-14):
         raise TopologyError(
             "degenerate topology: conductance system is singular (isolated node?)"
         )
     return factor
 
 
-# Floats held by the stacked block propagator (1 MB): the block length K is
-# this over 2 n^2, so small networks take long blocks and large ones stay
-# within the same memory.  Past the size of a core's cache each step of a
-# block gets slower: at 2 MB it cost about twice as much per step as at
-# 1 MB on a Xeon with 2 MB of L2 per core.
-_BLOCK_FLOATS = 1 << 17
+# Floats held by the modal tables r^j and r^0 + ... + r^(j-1): a block is at
+# most this over 2 n_c steps, 25 at n_c = 160.  Twice that split the block
+# product over two OpenBLAS threads: a 161-node run took 3x as long (2 vCPUs).
+_BLOCK_FLOATS = 1 << 13
+
+# Steps in the first block after a breakpoint or a cut, doubled after each
+# uncut block: gate events come in bursts, and steps past a cut are wasted.
+_FIRST_BLOCK = 64
 
 _PHASES = tuple(GateState)
-
-
-def _block_stack(step: np.ndarray, n_steps: int) -> np.ndarray:
-    """Stacked [P^j, S_j] for j = 1..K, with S_j = P^0 + ... + P^(j-1).
-
-    Row j-1 of the (K, n, 2n) result maps the state u and the forcing q
-    stacked as [u; q] to the state j steps on: P^j u + S_j q.  K fills
-    _BLOCK_FLOATS for this node count (at least 1, at most n_steps); the
-    stack is built by doubling, P^(j+i) = P^j P^i and S_(j+i) = S_j + P^j S_i.
-    """
-    n = step.shape[0]
-    depth = max(1, min(_BLOCK_FLOATS // (2 * n * n), n_steps))
-    stack = np.empty((depth, n, 2 * n))
-    stack[0, :, :n] = step
-    stack[0, :, n:] = np.eye(n)
-    done = 1
-    while done < depth:
-        take = min(done, depth - done)
-        np.matmul(stack[done - 1, :, :n], stack[:take], out=stack[done : done + take])
-        stack[done : done + take, :, n:] += stack[done - 1, :, n:]
-        done += take
-    return stack
 
 
 def _stimulus_schedule(topology: Topology, index: dict, stimuli, h: float, n_steps: int):
@@ -303,19 +284,27 @@ def simulate(
     index, cap, cond, elements, heads = _assemble(topology, params)
     n = len(topology.node_ids)
     h = config.dt
-    trapezoidal = config.integrator is Integrator.TRAPEZOIDAL
-    capacitive = cap > 0.0
+    # weight of the new time point in a step: 1/2 trapezoidal, 1 backward Euler
+    theta = 0.5 if config.integrator is Integrator.TRAPEZOIDAL else 1.0
 
-    if trapezoidal:
-        lhs = np.diag(2.0 * cap / h) + cond
-        # C = 0 rows keep the plain conductance row: backward-Euler form.
-        rhs_matrix = np.diag(2.0 * cap / h) - cond
-        rhs_matrix[~capacitive, :] = 0.0
-        stim_prev_weight = np.where(capacitive, 1.0, 0.0)
-    else:
-        lhs = np.diag(cap / h) + cond
-        rhs_matrix = np.diag(cap / h)
-    factor = _factorize(lhs)
+    # Kron reduction onto the capacitive nodes c; the rails r are algebraic
+    cnodes, rails = np.flatnonzero(cap > 0.0), np.flatnonzero(cap == 0.0)
+    n_c = len(cnodes)
+    g_rc = cond[np.ix_(rails, cnodes)]
+    factor = _factorize(cond[np.ix_(rails, rails)])
+    solved = lu_solve(factor, np.hstack((g_rc, np.eye(len(rails)))), check_finite=False)
+    k_rc, rail_inv = solved[:, :n_c], solved[:, n_c:]
+    reduced = cond[np.ix_(cnodes, cnodes)] - g_rc.T @ k_rc
+
+    # modes of D G_red D; back maps modal states to node voltages (rails
+    # included), and its transpose maps node currents to modal forcing
+    scale = 1.0 / np.sqrt(cap[cnodes])
+    lam, vectors = eigh(scale[:, None] * reduced * scale)
+    back = np.empty((n_c, n))
+    back[:, cnodes] = (scale[:, None] * vectors).T
+    back[:, rails] = -back[:, cnodes] @ k_rc.T
+    denom = 1.0 + theta * h * lam
+    rate, gain = (1.0 - (1.0 - theta) * h * lam) / denom, h / denom
 
     n_steps = int(round(config.t_end / h))
     stride = int(config.record_stride)
@@ -353,12 +342,15 @@ def simulate(
     voltages[0] = u * 1e3 + rest
     phases[0] = states
 
-    stack = _block_stack(lu_solve(factor, rhs_matrix, check_finite=False), n_steps)
-    depth = stack.shape[0]
-    x = np.empty(2 * n)  # [u; q]
+    # row j-1 of the tables: r^j and r^0 + ... + r^(j-1), per mode
+    depth = max(1, min(_BLOCK_FLOATS // (2 * n_c), n_steps))
+    powers = np.cumprod(np.broadcast_to(rate, (depth, n_c)), axis=0)
+    sums = np.cumsum(np.vstack((np.ones(n_c), powers[:-1])), axis=0)
+    modal_state = vectors.T @ (u[cnodes] / scale)
+    offset = np.zeros(n)  # rail voltages G_rr^-1 b_r of the current span
     head_prev = u[heads] * 1e3 + rest
     lo, hi = lo_table[states], hi_table[states]
-    stale = True  # q must be rebuilt before the next block
+    stale = True  # the forcing must be rebuilt before the next block
     span_end = 0  # last step of the current stimulus span
     next_edge = 0
     done = 0
@@ -374,15 +366,22 @@ def simulate(
                 stale = True
             if stale:
                 src = np.bincount(heads, weights=currents[seg_index, states], minlength=n)
-                if trapezoidal:
-                    forcing = 2.0 * src + stim_prev_weight * stim_vector(first - 1) + stim_vector(first)
-                else:
-                    forcing = src + stim_vector(first)
-                x[n:] = lu_solve(factor, forcing, check_finite=False)
+                before, stim = stim_vector(first - 1), stim_vector(first)
+                forcing = src + (1.0 - theta) * before + theta * stim
+                if first == 1 and theta < 1.0:
+                    # step 1 weighs in the given rail start, not the constrained one
+                    miss = u[rails] - rail_inv @ before[rails] + k_rc @ u[cnodes]
+                    if miss.any():
+                        forcing[cnodes] -= (1.0 - theta) * g_rc.T @ miss
+                        span_end = 1
+                modal_forcing = gain * (back @ forcing)
+                offset[rails] = rail_inv @ stim[rails]
                 stale = False
-            m = min(depth, span_end - done)
-            x[:n] = u
-            block = (stack[:m].reshape(m * n, 2 * n) @ x).reshape(m, n)
+                length = _FIRST_BLOCK
+            m = min(length, depth, span_end - done)
+            modal = powers[:m] * modal_state
+            modal += sums[:m] * modal_forcing
+            block = modal @ back + offset
 
             finite = np.isfinite(block).all(axis=1)
             n_ok = m if finite.all() else int(np.argmin(finite))
@@ -422,9 +421,10 @@ def simulate(
                     if k % stride == 0:
                         phases[k // stride] = states
 
-            u = block[n_take - 1]
+            modal_state = modal[n_take - 1]
             head_prev = head_mv[n_take - 1]
             done += n_take
+            length = _FIRST_BLOCK if cut >= 0 else 2 * length
 
     return Waveform(
         times=times,

@@ -88,8 +88,10 @@ class Topology:
         for node, cap in self.extra_c.items():
             if node not in known:
                 raise TopologyError(f"extra capacitance on unknown node {node}")
-            if cap < 0.0:
-                raise TopologyError(f"extra capacitance at node {node} is negative")
+            if not (0.0 <= cap < math.inf):  # written so that NaN fails too
+                raise TopologyError(
+                    f"extra capacitance at node {node} must be finite and non-negative, got {cap}"
+                )
 
     @property
     def node_count(self) -> int:

@@ -28,6 +28,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Any, get_type_hints
 
+import numpy as np
 import yaml
 
 from . import network
@@ -393,16 +394,23 @@ def evaluate_scenario(scenario: Scenario) -> ScenarioRun:
     return ScenarioRun(scenario=scenario, topology=topology, waveform=waveform, summary=summary)
 
 
+# Rows formatted per write: one "%.9g,..." template over a chunk keeps the
+# formatting in C while holding only this many rows of text at a time.  At
+# 161 columns 256 rows held 2.4 MB and wrote no faster than 32 rows.
+_CSV_CHUNK_ROWS = 32
+
+
 def write_waveform_csv(path: Path, waveform: Waveform, probes: tuple[str, ...]) -> None:
     """Write probed node voltages as CSV: seconds and volts, 9 digits."""
     columns = [waveform.column(p) for p in probes]
+    line = "%.9g," + ",".join(["%.9g"] * len(columns)) + "\n"
     with path.open("w", encoding="utf-8", newline="\n") as fh:
         fh.write("t_s," + ",".join(probes) + "\n")
-        for row, t in enumerate(waveform.times):
-            volts = (
-                "%.9g" % (waveform.voltages_mv[row, col] * 1e-3) for col in columns
-            )
-            fh.write("%.9g," % t + ",".join(volts) + "\n")
+        for start in range(0, len(waveform.times), _CSV_CHUNK_ROWS):
+            stop = start + _CSV_CHUNK_ROWS
+            volts = waveform.voltages_mv[start:stop, columns] * 1e-3
+            table = np.column_stack((waveform.times[start:stop], volts))
+            fh.write(line * len(table) % tuple(table.ravel().tolist()))
 
 
 def write_outputs(run: ScenarioRun, out_dir: str | Path = ".") -> tuple[Path, Path]:

@@ -52,7 +52,7 @@ def passive_spec() -> SegmentSpec:
 
 @pytest.mark.parametrize("integrator", BOTH_INTEGRATORS)
 def test_zero_stimulus_equilibrium_is_bit_exact(integrator):
-    # 10 segments run in long blocks, 160 segments in blocks of two steps
+    # 10 segments run in blocks growing from 64 steps, 160 segments in blocks of 25
     config = SimConfig(t_end=5e-3, record_stride=1, integrator=integrator)
     for n_segments in (10, 160):
         wave = simulate(build_chain(n_segments), (), config)
@@ -340,13 +340,53 @@ def test_bundled_scenarios_match_step_by_step_reference(name, integrator):
 
 
 def test_long_chain_matches_step_by_step_reference():
-    # 161 nodes: blocks of two steps, many gate events per block
+    # 161 nodes: blocks of at most 25 steps, many gate events per block
     stimuli = [
         Stimulus(node="A", amplitude=10e-9, t_start=0.1e-3, duration=0.2e-3),
         Stimulus(node="v(81)", amplitude=12e-9, t_start=0.4e-3, duration=0.2e-3),
     ]
     run = (build_chain(160), stimuli, SimConfig(t_end=2.5e-3, record_stride=1), PARAMS)
     assert_matches_reference(simulate(*run), reference_simulate(*run))
+
+
+def floating_node_chain() -> Topology:
+    # a capacitive node that no segment touches: a zero-conductance mode
+    chain = build_chain(4)
+    return Topology(
+        node_ids=chain.node_ids + (99,),
+        segments=chain.segments,
+        labels={**chain.labels, "F": 99},
+        extra_c={99: 30e-12},
+    )
+
+
+def railless_chain() -> Topology:
+    # shunt capacitance on the input node too: no bare rail is left
+    chain = build_chain(4)
+    return replace(chain, extra_c={chain.resolve("A"): 10e-12})
+
+
+EDGE_CASES = {
+    "initial_beside_rail": (build_chain(4), [STIM], {"v(2)": -50.0}),
+    "initial_at_rail": (build_chain(4), [STIM], {"A": -20.0}),
+    "rail_stimulus_at_zero": (build_chain(4), [replace(STIM, t_start=0.0)], None),
+    "no_rails": (railless_chain(), [replace(STIM, t_start=0.0)], {"A": -60.0}),
+    "floating_node": (
+        floating_node_chain(),
+        [STIM, Stimulus(node="F", amplitude=5e-9, t_start=0.5e-3, duration=0.5e-3)],
+        {"F": -60.0},
+    ),
+}
+
+
+@pytest.mark.parametrize("integrator", BOTH_INTEGRATORS)
+@pytest.mark.parametrize("case", sorted(EDGE_CASES))
+def test_edge_cases_match_step_by_step_reference(case, integrator):
+    topology, stimuli, initial_mv = EDGE_CASES[case]
+    config = SimConfig(t_end=4e-3, record_stride=1, integrator=integrator)
+    wave = simulate(topology, stimuli, config, PARAMS, initial_mv)
+    assert_matches_reference(wave, reference_simulate(topology, stimuli, config, PARAMS, initial_mv))
+    assert np.any(wave.phases != GateState.REST.value)
 
 
 @pytest.mark.parametrize("name", ["fig7_chain", "fig11_or"])

@@ -211,6 +211,12 @@ def test_topology_rejects_malformed_wiring():
         Topology(node_ids=(1, 2), segments=(Segment(1, 2, spec),), extra_c={2: -1e-12})
 
 
+@pytest.mark.parametrize("cap", [math.nan, math.inf, -math.inf])
+def test_topology_rejects_non_finite_extra_c(cap):
+    with pytest.raises(TopologyError, match="finite"):
+        Topology(node_ids=(1, 2), segments=(Segment(1, 2, SegmentSpec()),), extra_c={2: cap})
+
+
 def test_stimulus_validation():
     Stimulus(node=1, amplitude=10e-9, t_start=0.0, duration=0.2e-3)
     with pytest.raises(InvalidSpecError):

@@ -7,10 +7,12 @@ import json
 import math
 import re
 
+import numpy as np
 import pytest
 
 from solitonsim import network
 from solitonsim.cli import main
+from solitonsim.engine import Waveform
 from solitonsim.errors import ScenarioError
 from solitonsim.scenario import (
     BUILDER_KINDS,
@@ -21,6 +23,7 @@ from solitonsim.scenario import (
     load_scenario,
     parse_scenario,
     run_scenario,
+    write_waveform_csv,
 )
 
 # Small chain, short run: enough to produce one pulse at v(2) quickly.
@@ -321,6 +324,32 @@ def test_outputs_are_byte_deterministic(tmp_path):
     csv_b, json_b = run_scenario(scenario, tmp_path / "b")
     assert csv_a.read_bytes() == csv_b.read_bytes()
     assert json_a.read_bytes() == json_b.read_bytes()
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, 255, 256, 257])
+def test_csv_writer_matches_per_float_formatting(tmp_path, n_rows):
+    # chunk edges of the writer, and values of every sign and magnitude
+    rng = np.random.default_rng(n_rows)
+    magnitudes = np.array([1e-300, 1e-12, 1.0, 70.0, 1e12, 1e300])
+    voltages = rng.standard_normal((n_rows, 4)) * rng.choice(magnitudes, size=(n_rows, 4))
+    voltages[:, 3] = -70.0
+    wave = Waveform(
+        times=np.arange(n_rows) * 1e-6,
+        voltages_mv=voltages,
+        node_ids=(1, 2, 3, 4),
+        phases=np.zeros((n_rows, 1), dtype=np.uint8),
+        labels={"a": 1, "b": 2, "c": 3, "d": 4},
+        rest_mv=-70.0,
+    )
+    probes = ("c", "a", "d", "a")
+    path = tmp_path / "wave.csv"
+    write_waveform_csv(path, wave, probes)
+    columns = [wave.column(p) for p in probes]
+    expected = "t_s,c,a,d,a\n" + "".join(
+        "%.9g," % t + ",".join("%.9g" % (voltages[row, col] * 1e-3) for col in columns) + "\n"
+        for row, t in enumerate(wave.times)
+    )
+    assert path.read_bytes() == expected.encode()
 
 
 def test_reflection_analysis_block(tmp_path):
