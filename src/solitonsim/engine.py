@@ -204,6 +204,11 @@ _BLOCK_FLOATS = 1 << 13
 # uncut block: gate events come in bursts, and steps past a cut are wasted.
 _FIRST_BLOCK = 64
 
+# Floats a run may ask for, counted as the dense n x n conductance matrix, the
+# step-time grid and the recorded voltages: 2**27 (1 GiB) is 160 times the
+# largest bundled or benchmarked run, a 161-node line recorded at 5,001 steps.
+_MAX_RUN_FLOATS = 1 << 27
+
 _PHASES = tuple(GateState)
 
 
@@ -278,11 +283,20 @@ def simulate(
         TopologyError: singular system, or a stimulus or initial voltage at
             an unknown node.
         InstabilityError: a step produced a non-finite voltage.
+        InvalidSpecError: the run would ask for more than _MAX_RUN_FLOATS
+            floats; checked before anything is allocated.
     """
+    n = len(topology.node_ids)
+    steps = config.t_end / config.dt  # a float, so a tiny dt cannot overflow int()
+    floats = n * n + steps + 1 + (steps / config.record_stride + 1) * n
+    if not floats <= _MAX_RUN_FLOATS:
+        raise InvalidSpecError(
+            f"run needs about {floats:.3g} floats ({n} nodes, {steps:.3g} steps, record_stride "
+            f"{config.record_stride}), more than the {_MAX_RUN_FLOATS} one run may use"
+        )
     if params is None:
         params = MembraneParams()
     index, cap, cond, elements, heads = _assemble(topology, params)
-    n = len(topology.node_ids)
     h = config.dt
     # weight of the new time point in a step: 1/2 trapezoidal, 1 backward Euler
     theta = 0.5 if config.integrator is Integrator.TRAPEZOIDAL else 1.0

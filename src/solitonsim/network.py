@@ -93,10 +93,6 @@ class Topology:
                     f"extra capacitance at node {node} must be finite and non-negative, got {cap}"
                 )
 
-    @property
-    def node_count(self) -> int:
-        return len(self.node_ids)
-
     def resolve(self, node: NodeId | str) -> NodeId:
         """Map a node id or label to the node id; KeyError if unknown."""
         if isinstance(node, str):

@@ -23,7 +23,7 @@ import inspect
 import json
 import sys
 from collections.abc import Mapping
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import Any, get_type_hints
@@ -71,11 +71,13 @@ class Scenario:
     probes: tuple[str, ...]
     config: SimConfig
     threshold_mv: float = DEFAULT_THRESHOLD_MV
-    pulses: bool = True
-    dispersion: DispersionRequest | None = None
-    reflection: ReflectionRequest | None = None
-    truth: TruthTableRequest | None = None
+    requests: Mapping[str, Any] = field(default_factory=dict)  # analysis key -> request
     sha256: str = ""
+
+    @property
+    def truth(self) -> TruthTableRequest | None:
+        """The ``analysis.truth_table`` request, if any."""
+        return self.requests.get("truth_table")
 
 
 @dataclass(frozen=True)
@@ -86,6 +88,54 @@ class ScenarioRun:
     topology: Topology
     waveform: Waveform
     summary: dict[str, Any]
+
+
+# ---------------------------------------------------------------------------
+# analyses: one entry per analysis key; pulse lists are always computed
+# ---------------------------------------------------------------------------
+
+
+def _dispersion(scenario, topology, waveform, req: DispersionRequest) -> dict[str, Any]:
+    try:
+        value = dispersion_metric(waveform, req.early, req.late, scenario.threshold_mv)
+    except NotApplicableError as exc:
+        return {"applicable": False, "reason": str(exc)}
+    return {"applicable": True, "early": req.early, "late": req.late, "value": value}
+
+
+def _reflection(scenario, topology, waveform, req: ReflectionRequest) -> dict[str, Any]:
+    count = len(detect_pulses(waveform, req.node, scenario.threshold_mv))
+    return {"node": req.node, "pulse_count": count, "reflected": count >= 2}
+
+
+def _truth_table(scenario, topology, waveform, req: TruthTableRequest) -> dict[str, Any]:
+    table = truth_table(
+        topology,
+        req.inputs,
+        req.output,
+        config=scenario.config,
+        params=scenario.params,
+        threshold_mv=scenario.threshold_mv,
+    )
+    rows = [{"driven": list(combo), "value": result} for combo, result in table.items()]
+    return {"inputs": list(req.inputs), "output": req.output, "rows": rows}
+
+
+# analysis key -> (request dataclass, (scenario, topology, waveform, request) -> summary entry)
+_ANALYSES = {
+    "dispersion": (DispersionRequest, _dispersion),
+    "reflection": (ReflectionRequest, _reflection),
+    "truth_table": (TruthTableRequest, _truth_table),
+}
+
+
+def analysis_entry(
+    scenario: Scenario, topology: Topology, waveform: Waveform, key: str
+) -> dict[str, Any]:
+    """The summary entry of the scenario's ``analysis.<key>`` request."""
+    if key not in scenario.requests:
+        raise ScenarioError(f"scenario {scenario.name!r} has no analysis.{key} request")
+    return _ANALYSES[key][1](scenario, topology, waveform, scenario.requests[key])
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +162,7 @@ def _field_table(target: Any) -> FieldTable:
 _SECTIONS = {
     cls: _field_table(cls)
     for cls in (SegmentSpec, MembraneParams, SimConfig, Stimulus)
-    + (DispersionRequest, ReflectionRequest, TruthTableRequest)
+    + tuple(request for request, _ in _ANALYSES.values())
 }
 _BUILDERS = {kind: _field_table(getattr(network, f"build_{kind}")) for kind in BUILDER_KINDS}
 
@@ -129,10 +179,7 @@ _DOCUMENT: FieldTable = {
 
 _ANALYSIS: FieldTable = {
     "threshold_mv": (float, False),
-    "pulses": (bool, False),
-    "dispersion": (DispersionRequest, False),
-    "reflection": (ReflectionRequest, False),
-    "truth_table": (TruthTableRequest, False),
+    **{key: (request, False) for key, (request, _) in _ANALYSES.items()},
 }
 
 
@@ -230,7 +277,8 @@ def parse_scenario(document: Any, *, sha256: str = "") -> Scenario:
         _read_value(item, Stimulus, f"stimuli[{i}]")
         for i, item in enumerate(doc.get("stimuli", []))
     )
-    analysis = _read(doc.get("analysis", {}), _ANALYSIS, "analysis")
+    requests = _read(doc.get("analysis", {}), _ANALYSIS, "analysis")
+    threshold_mv = requests.pop("threshold_mv", DEFAULT_THRESHOLD_MV)
 
     scenario = Scenario(
         name=name,
@@ -241,11 +289,8 @@ def parse_scenario(document: Any, *, sha256: str = "") -> Scenario:
         stimuli=stimuli,
         probes=doc["probes"],
         config=doc.get("config", SimConfig()),
-        threshold_mv=analysis.get("threshold_mv", DEFAULT_THRESHOLD_MV),
-        pulses=analysis.get("pulses", True),
-        dispersion=analysis.get("dispersion"),
-        reflection=analysis.get("reflection"),
-        truth=analysis.get("truth_table"),
+        threshold_mv=threshold_mv,
+        requests=requests,
         sha256=sha256,
     )
     # build once here so label mistakes surface at load time, with paths
@@ -255,8 +300,8 @@ def parse_scenario(document: Any, *, sha256: str = "") -> Scenario:
         raise _fail("builder", str(exc)) from exc
     labels = [(f"probes[{i}]", probe) for i, probe in enumerate(scenario.probes)]
     labels += [(f"stimuli[{i}].node", stim.node) for i, stim in enumerate(stimuli)]
-    for key in ("dispersion", "reflection", "truth_table"):
-        for value in vars(analysis[key]).values() if key in analysis else ():
+    for key, request in requests.items():
+        for value in vars(request).values():
             for label in value if isinstance(value, tuple) else (value,):
                 labels.append((f"analysis.{key}", label))
     for path, label in labels:
@@ -320,63 +365,19 @@ def build_topology(scenario: Scenario) -> Topology:
     return build(spec=scenario.segment, **scenario.builder_args)
 
 
-def _pulse_record(event) -> dict[str, float]:
-    return {
-        "t_onset_s": event.t_onset,
-        "t_peak_s": event.t_peak,
-        "v_peak_mv": event.v_peak,
-        "fwhm_s": event.fwhm,
-    }
-
-
 def evaluate_scenario(scenario: Scenario) -> ScenarioRun:
     """Simulate a scenario and compute its requested analyses."""
     topology = build_topology(scenario)
     waveform = simulate(topology, scenario.stimuli, scenario.config, scenario.params)
 
-    analysis: dict[str, Any] = {}
-    if scenario.pulses:
-        analysis["pulses"] = {
-            probe: [
-                _pulse_record(ev)
-                for ev in detect_pulses(waveform, probe, scenario.threshold_mv)
-            ]
-            for probe in scenario.probes
-        }
-    if scenario.dispersion is not None:
-        req = scenario.dispersion
-        try:
-            value = dispersion_metric(waveform, req.early, req.late, scenario.threshold_mv)
-        except NotApplicableError as exc:
-            analysis["dispersion"] = {"applicable": False, "reason": str(exc)}
-        else:
-            analysis["dispersion"] = {
-                "applicable": True, "early": req.early, "late": req.late, "value": value
-            }
-    if scenario.reflection is not None:
-        count = len(detect_pulses(waveform, scenario.reflection.node, scenario.threshold_mv))
-        analysis["reflection"] = {
-            "node": scenario.reflection.node,
-            "pulse_count": count,
-            "reflected": count >= 2,
-        }
-    if scenario.truth is not None:
-        table = truth_table(
-            topology,
-            scenario.truth.inputs,
-            scenario.truth.output,
-            config=scenario.config,
-            params=scenario.params,
-            threshold_mv=scenario.threshold_mv,
-        )
-        analysis["truth_table"] = {
-            "inputs": list(scenario.truth.inputs),
-            "output": scenario.truth.output,
-            "rows": [
-                {"driven": list(combo), "value": result}
-                for combo, result in table.items()
-            ],
-        }
+    analysis: dict[str, Any] = {"pulses": {}}
+    for probe in scenario.probes:
+        analysis["pulses"][probe] = [
+            {"t_onset_s": e.t_onset, "t_peak_s": e.t_peak, "v_peak_mv": e.v_peak, "fwhm_s": e.fwhm}
+            for e in detect_pulses(waveform, probe, scenario.threshold_mv)
+        ]
+    for key in scenario.requests:
+        analysis[key] = analysis_entry(scenario, topology, waveform, key)
 
     summary = {
         "scenario": {"name": scenario.name, "sha256": scenario.sha256},

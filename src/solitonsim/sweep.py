@@ -15,11 +15,11 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
-from .analysis import detect_pulses, dispersion_metric, logic_output, truth_table
+from .analysis import detect_pulses, logic_output, truth_table
 from .engine import Waveform, refine_check, simulate
-from .errors import NotApplicableError, ScenarioError
+from .errors import ScenarioError
 from .network import Topology
-from .scenario import Scenario, build_topology
+from .scenario import Scenario, analysis_entry, build_topology
 
 
 @dataclass(frozen=True)
@@ -77,24 +77,19 @@ _APPLIERS = {
 }
 
 
-def _on_waveform(reduce: Callable[[Scenario, Waveform], float]):
+def _on_waveform(reduce: Callable[[Scenario, Topology, Waveform], float]):
     """Metric that simulates the scenario once and reduces the waveform."""
 
     def metric(scenario: Scenario, topology: Topology, _skew_s: float) -> float:
         waveform = simulate(topology, scenario.stimuli, scenario.config, scenario.params)
-        return reduce(scenario, waveform)
+        return reduce(scenario, topology, waveform)
 
     return metric
 
 
-def _dispersion(scenario: Scenario, waveform: Waveform) -> float:
-    if scenario.dispersion is None:
-        raise ScenarioError("dispersion metric needs an analysis.dispersion request")
-    req = scenario.dispersion
-    try:
-        return dispersion_metric(waveform, req.early, req.late, scenario.threshold_mv)
-    except NotApplicableError:
-        return math.nan
+def _dispersion(scenario: Scenario, topology: Topology, waveform: Waveform) -> float:
+    entry = analysis_entry(scenario, topology, waveform, "dispersion")
+    return entry["value"] if entry["applicable"] else math.nan
 
 
 def _truth_ab(scenario: Scenario, topology: Topology, skew_s: float) -> float:
@@ -117,12 +112,12 @@ def _truth_ab(scenario: Scenario, topology: Topology, skew_s: float) -> float:
 # metric -> function (scenario, topology, skew_s) -> float
 _METRICS = {
     "logic": _on_waveform(
-        lambda s, w: 1.0 if logic_output(w, s.probes[-1], s.threshold_mv) else 0.0
+        lambda s, _t, w: 1.0 if logic_output(w, s.probes[-1], s.threshold_mv) else 0.0
     ),
     "output_pulses": _on_waveform(
-        lambda s, w: float(len(detect_pulses(w, s.probes[-1], s.threshold_mv)))
+        lambda s, _t, w: float(len(detect_pulses(w, s.probes[-1], s.threshold_mv)))
     ),
-    "peak_mv": _on_waveform(lambda s, w: float(w.voltage(s.probes[-1]).max())),
+    "peak_mv": _on_waveform(lambda s, _t, w: float(w.voltage(s.probes[-1]).max())),
     "dispersion": _on_waveform(_dispersion),
     "truth_ab": _truth_ab,
     "refine_discrepancy": lambda s, topology, _skew_s: refine_check(
@@ -155,7 +150,7 @@ def compute_metric(scenario: Scenario, metric: str, *, skew_s: float = 0.0) -> f
     logic: 1.0 when the last probe sees at least one pulse.
     output_pulses: pulse count at the last probe.
     peak_mv: highest voltage at the last probe.
-    dispersion: requested width metric; NaN when a pulse is missing.
+    dispersion: the analysis.dispersion entry's value; NaN where it is not applicable.
     truth_ab: 1.0 when the all-inputs-driven truth-table row is true.
     refine_discrepancy: worst dt versus dt/2 voltage gap, millivolts.
     """

@@ -267,6 +267,22 @@ def test_waveform_lookup_errors():
 
 
 @pytest.mark.parametrize(
+    "n_segments,config",
+    [
+        (20_000, SimConfig()),  # the dense conductance matrix alone: 4e8 floats
+        (2, SimConfig(dt=1e-12, t_end=1.0, record_stride=10**12)),  # 1e12 steps
+        (2, SimConfig(dt=5e-324, t_end=1.0)),  # t_end / dt is inf
+    ],
+    ids=["nodes", "steps", "steps_overflow"],
+)
+def test_run_over_the_memory_budget_is_rejected_before_allocating(n_segments, config):
+    with pytest.raises(InvalidSpecError, match="floats"):
+        simulate(build_chain(n_segments), [STIM], config)
+    # the largest run benchmarked, 161 nodes recorded at 5,001 steps, stays far below
+    assert 100 * (161 * 161 + 5001 + 5001 * 161) < engine._MAX_RUN_FLOATS
+
+
+@pytest.mark.parametrize(
     "kwargs",
     [
         {"dt": 0.0},

@@ -6,9 +6,11 @@ import copy
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from solitonsim import network
 from solitonsim.cli import main
@@ -16,6 +18,7 @@ from solitonsim.engine import Waveform
 from solitonsim.errors import ScenarioError
 from solitonsim.scenario import (
     BUILDER_KINDS,
+    analysis_entry,
     build_topology,
     bundled_scenario_names,
     evaluate_scenario,
@@ -25,6 +28,7 @@ from solitonsim.scenario import (
     run_scenario,
     write_waveform_csv,
 )
+from solitonsim.sweep import compute_metric
 
 # Small chain, short run: enough to produce one pulse at v(2) quickly.
 BASE_DOC = {
@@ -142,6 +146,10 @@ def broken_documents():
     doc = make_doc(analysis={"threshold_mv": math.nan})
     cases.append(("nan_threshold", doc, "analysis.threshold_mv: expected a finite number"))
 
+    # pulse lists are always computed: there is no switch for them
+    doc = make_doc(analysis={"pulses": False})
+    cases.append(("analysis_pulses_removed", doc, "analysis.pulses: unknown field"))
+
     return cases
 
 
@@ -191,6 +199,14 @@ def test_builder_schema_survives_wrapped_builders(monkeypatch):
         parse_scenario(
             make_doc(builder={"kind": "taper", "n_segments": 2, "d_start": 1e-4, "d_end": "x"})
         )
+
+
+def test_readme_scenario_examples_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```yaml\n(.*?)^```", readme, re.MULTILINE | re.DOTALL)
+    assert blocks
+    for block in blocks:
+        parse_scenario(yaml.safe_load(block))
 
 
 def test_load_scenario_from_file(tmp_path):
@@ -352,6 +368,31 @@ def test_csv_writer_matches_per_float_formatting(tmp_path, n_rows):
     assert path.read_bytes() == expected.encode()
 
 
+def test_dispersion_entry_shapes_shared_with_the_sweep_metric():
+    doc = make_doc(analysis={"dispersion": {"early": "v(2)", "late": "v(3)"}})
+    scenario = parse_scenario(doc)
+    entry = evaluate_scenario(scenario).summary["analysis"]["dispersion"]
+    assert entry["applicable"] is True
+    assert (entry["early"], entry["late"]) == ("v(2)", "v(3)")
+    assert compute_metric(scenario, "dispersion") == entry["value"]
+
+    # six segments, stopped before the pulse reaches the far end
+    doc = make_doc(
+        builder={"kind": "chain", "n_segments": 6},
+        probes=["v(2)", "v(7)"],
+        config={"t_end": 2.0e-3},
+        analysis={"dispersion": {"early": "v(2)", "late": "v(7)"}},
+    )
+    scenario = parse_scenario(doc)
+    run = evaluate_scenario(scenario)
+    assert [len(run.summary["analysis"]["pulses"][p]) for p in ("v(2)", "v(7)")] == [1, 0]
+    entry = run.summary["analysis"]["dispersion"]
+    assert set(entry) == {"applicable", "reason"} and entry["applicable"] is False
+    assert "0 at 'v(7)'" in entry["reason"]
+    assert entry == analysis_entry(scenario, run.topology, run.waveform, "dispersion")
+    assert math.isnan(compute_metric(scenario, "dispersion"))
+
+
 def test_reflection_analysis_block(tmp_path):
     doc = make_doc(analysis={"reflection": {"node": "v(2)"}})
     scenario = parse_scenario(doc)
@@ -426,6 +467,16 @@ def test_cli_run_solver_failure_exit_code(tmp_path, capsys):
     )
     assert main(["run", str(path), "--out-dir", str(tmp_path)]) == 3
     assert "solver failure" in capsys.readouterr().err
+
+
+def test_cli_run_over_the_memory_budget_exits_2(tmp_path, capsys):
+    # 20,001 nodes: the dense conductance matrix alone would take 3.2 GB
+    path = tmp_path / "huge.yaml"
+    path.write_text("name: huge\nbuilder: {kind: chain, n_segments: 20000}\nprobes: [v(2)]\n")
+    assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: run needs about") and "floats" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_sweep_writes_csv(tmp_path, capsys):
