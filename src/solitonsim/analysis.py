@@ -116,7 +116,7 @@ def logic_output(
     threshold_mv: float = DEFAULT_THRESHOLD_MV,
 ) -> bool:
     """True when at least one pulse reached the output node."""
-    return len(detect_pulses(waveform, output_node, threshold_mv)) > 0
+    return bool(np.any(waveform.voltage(output_node) > threshold_mv))
 
 
 def dispersion_metric(
@@ -173,7 +173,7 @@ def first_phase_time(
     waveform: Waveform, segment_index: int, phase: GateState, *, after: float = -math.inf
 ) -> float | None:
     """Time of the first sample later than ``after`` where a segment's gate shows ``phase``."""
-    hits = np.flatnonzero((waveform.phase(segment_index) == phase.value) & (waveform.times > after))
+    hits = np.flatnonzero((waveform.phase(segment_index) == phase) & (waveform.times > after))
     if len(hits) == 0:
         return None
     return float(waveform.times[hits[0]])
@@ -181,12 +181,11 @@ def first_phase_time(
 
 def truth_table(
     topology: Topology,
-    inputs: Sequence[str] | Mapping[str, NodeId | str],
+    inputs: Sequence[str],
     output: NodeId | str,
     combinations: Sequence[Sequence[str]] | None = None,
     *,
     amplitude: float = 10e-9,
-    duration: float = 0.2e-3,
     t_start: float = 1e-3,
     skew: Mapping[str, float] | None = None,
     config: SimConfig = SimConfig(),
@@ -197,11 +196,12 @@ def truth_table(
 
     One simulation per combination.  Each selected input receives an
     identical rectangular stimulus starting at ``t_start`` (shifted by its
-    ``skew`` entry, if any), so unskewed inputs pulse simultaneously.
+    ``skew`` entry, if any) and lasting Stimulus's default duration, so
+    unskewed inputs pulse simultaneously.
 
     Args:
         topology: gate network.
-        inputs: input names; either labels themselves or a name->node map.
+        inputs: input node labels.
         output: node whose pulses define the logic value.
         combinations: rows to evaluate; defaults to the full power set of
             the inputs in (size, position) order.
@@ -210,11 +210,7 @@ def truth_table(
     Returns:
         Map from the tuple of driven input names to the output boolean.
     """
-    if isinstance(inputs, Mapping):
-        input_nodes = dict(inputs)
-    else:
-        input_nodes = {name: name for name in inputs}
-    names = list(input_nodes)
+    names = list(inputs)
     if combinations is None:
         combinations = [
             combo
@@ -227,10 +223,9 @@ def truth_table(
     for combo in combinations:
         stimuli = [
             Stimulus(
-                node=topology.resolve(input_nodes[name]),
+                node=topology.resolve(name),
                 amplitude=amplitude,
                 t_start=t_start + skew.get(name, 0.0),
-                duration=duration,
             )
             for name in combo
         ]

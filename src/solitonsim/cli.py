@@ -13,7 +13,7 @@ PASS/FAIL line per acceptance criterion.
 --metric M`` maps one scalar response across a parameter range.
 
 Exit codes: 0 success, 1 failed suite criteria, 2 schema or usage
-violation, 3 solver failure.
+violation or an unwritable output path, 3 solver failure.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .errors import InstabilityError, InvalidSpecError, ScenarioError, TopologyError
+from .errors import InstabilityError, ScenarioError, SolitonsimError, TopologyError
 from .scenario import Scenario, bundled_scenario_names, load_bundled_scenario, load_scenario, run_scenario
 from .suite import format_report, run_paper_suite
 from .sweep import SWEEP_METRICS, SWEEP_PARAMS, run_sweep, sweep_values
@@ -102,12 +102,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "paper-suite":
             return _cmd_paper_suite(args)
         return _cmd_sweep(args)
-    except (ScenarioError, InvalidSpecError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (TopologyError, InstabilityError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
+    except (SolitonsimError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -13,8 +13,10 @@ Implementation choices worth knowing:
   stays at exactly U = 0: a zero forcing propagates to exactly zero, bit
   for bit, under either scheme.
 * Bare rail nodes (no shunt capacitance) obey G_rr U_r + G_rc U_c = b_r
-  at every new time point under both schemes.  They are eliminated once
-  per run (Kron reduction): U_r = G_rr^-1 b_r - K U_c, K = G_rr^-1 G_rc,
+  at every new time point under both schemes.  Every segment puts its
+  capacitance on its head, so no segment joins two rails and G_rr is
+  diagonal.  The rails are eliminated once per run in closed form (Kron
+  reduction): U_r = G_rr^-1 b_r - K U_c, K = G_rr^-1 G_rc,
   leaves  C_c dU_c/dt = -G_red U_c + b_c - K^T b_r  with the Schur
   complement G_red = G_cc - G_rc^T K, and the scheme steps that ODE.  The
   trapezoidal step 1 alone averages the given starting rail values, not
@@ -43,13 +45,11 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
-import warnings
-
 import numpy as np
-from scipy.linalg import LinAlgError, LinAlgWarning, eigh, lu_factor, lu_solve
+from scipy.linalg import eigh, lu_solve  # lu_solve is unused: perfbench/tracer.py wraps engine.lu_solve
 
 from .errors import InstabilityError, InvalidSpecError, NotApplicableError, TopologyError
-from .membrane import GateState, MembraneParams, derive_elements, source_current, step_gate
+from .membrane import GateState, MembraneParams, derive_elements, source_current, stay_windows, step_gate
 from .network import NodeId, Stimulus, Topology
 
 
@@ -177,24 +177,6 @@ def _assemble(topology: Topology, params: MembraneParams):
     return index, cap, cond, elements, heads
 
 
-def _factorize(matrix: np.ndarray):
-    """LU-factor the rail conductance block; reject singular systems."""
-    try:
-        with warnings.catch_warnings():
-            # exact singularity is diagnosed below; no need for the warning
-            warnings.simplefilter("ignore", LinAlgWarning)
-            factor = lu_factor(matrix)
-    except LinAlgError as exc:
-        raise TopologyError(f"degenerate topology: {exc}") from exc
-    diag = np.abs(np.diag(factor[0]))
-    scale = np.abs(matrix).max(initial=0.0)
-    if diag.size and (scale == 0.0 or diag.min() <= scale * 1e-14):
-        raise TopologyError(
-            "degenerate topology: conductance system is singular (isolated node?)"
-        )
-    return factor
-
-
 # Floats held by the modal tables r^j and r^0 + ... + r^(j-1): a block is at
 # most this over 2 n_c steps, 25 at n_c = 160.  Twice that split the block
 # product over two OpenBLAS threads: a 161-node run took 3x as long (2 vCPUs).
@@ -208,8 +190,6 @@ _FIRST_BLOCK = 64
 # step-time grid and the recorded voltages: 2**27 (1 GiB) is 160 times the
 # largest bundled or benchmarked run, a 161-node line recorded at 5,001 steps.
 _MAX_RUN_FLOATS = 1 << 27
-
-_PHASES = tuple(GateState)
 
 
 def _stimulus_schedule(topology: Topology, index: dict, stimuli, h: float, n_steps: int):
@@ -238,25 +218,13 @@ def _stimulus_schedule(topology: Topology, index: dict, stimuli, h: float, n_ste
     return drive, sorted(e for e in edges if 1 < e <= n_steps)
 
 
-def _stay_windows(params: MembraneParams) -> tuple[np.ndarray, np.ndarray]:
-    """Per phase code, the head voltages [lo, hi) (mV) at which step_gate cannot move it.
-
-    REST can leave only at or above the trigger and FIRING only at or above
-    the sodium cutoff; FALLING leaves below the trigger (MembraneParams
-    keeps the potassium cutoff below it); FALLING_ARMED stays strictly
-    between the potassium cutoff and the trigger.  A voltage outside the
-    window makes the segment a candidate, and step_gate decides.
-    """
-    lo = np.array([-np.inf, -np.inf, params.v_trigger, np.nextafter(params.v_k_cutoff, np.inf)])
-    hi = np.array([params.v_trigger, params.v_na_cutoff, np.inf, params.v_trigger])
-    return lo, hi
-
-
 # =====================================================================
 # Simulation
 # =====================================================================
 
 
+# overflows and non-finite stimuli become inf/NaN, reported as typed errors below
+@np.errstate(over="ignore", invalid="ignore")
 def simulate(
     topology: Topology,
     stimuli: list[Stimulus] | tuple[Stimulus, ...] = (),
@@ -280,11 +248,12 @@ def simulate(
         Waveform sampled every record_stride steps, t = 0 included.
 
     Raises:
-        TopologyError: singular system, or a stimulus or initial voltage at
-            an unknown node.
+        TopologyError: a bare node that no segment touches, or a stimulus or
+            initial voltage at an unknown node.
         InstabilityError: a step produced a non-finite voltage.
         InvalidSpecError: the run would ask for more than _MAX_RUN_FLOATS
-            floats; checked before anything is allocated.
+            floats (checked before anything is allocated), or the assembled
+            system overflows.
     """
     n = len(topology.node_ids)
     steps = config.t_end / config.dt  # a float, so a tiny dt cannot overflow int()
@@ -305,15 +274,21 @@ def simulate(
     cnodes, rails = np.flatnonzero(cap > 0.0), np.flatnonzero(cap == 0.0)
     n_c = len(cnodes)
     g_rc = cond[np.ix_(rails, cnodes)]
-    factor = _factorize(cond[np.ix_(rails, rails)])
-    solved = lu_solve(factor, np.hstack((g_rc, np.eye(len(rails)))), check_finite=False)
-    k_rc, rail_inv = solved[:, :n_c], solved[:, n_c:]
+    g_rr = cond[rails, rails]  # the diagonal of G_rr, which is all of it
+    if not g_rr.all():
+        isolated = [topology.node_ids[i] for i in rails[g_rr == 0.0]]
+        raise TopologyError(f"degenerate topology: bare nodes {isolated} touch no segment")
+    rail_inv = 1.0 / g_rr
+    k_rc = g_rc * rail_inv[:, None]
     reduced = cond[np.ix_(cnodes, cnodes)] - g_rc.T @ k_rc
 
     # modes of D G_red D; back maps modal states to node voltages (rails
     # included), and its transpose maps node currents to modal forcing
     scale = 1.0 / np.sqrt(cap[cnodes])
-    lam, vectors = eigh(scale[:, None] * reduced * scale)
+    system = scale[:, None] * reduced * scale
+    if not np.isfinite(system).all():
+        raise InvalidSpecError("the segment elements overflow when assembled: geometry too extreme")
+    lam, vectors = eigh(system)
     back = np.empty((n_c, n))
     back[:, cnodes] = (scale[:, None] * vectors).T
     back[:, rails] = -back[:, cnodes] @ k_rc.T
@@ -343,9 +318,8 @@ def simulate(
 
     # per segment and phase code: the source current and the stay window
     n_segments = len(topology.segments)
-    currents = np.array([[source_current(phase, el) for phase in _PHASES] for el in elements])
-    currents = currents.reshape(n_segments, len(_PHASES))
-    lo_table, hi_table = _stay_windows(params)
+    currents = np.array([[source_current(phase, el) for phase in GateState] for el in elements])
+    lo_table, hi_table = map(np.array, stay_windows(params))
     seg_index = np.arange(n_segments)
     states = np.zeros(n_segments, dtype=np.uint8)
 
@@ -368,77 +342,74 @@ def simulate(
     span_end = 0  # last step of the current stimulus span
     next_edge = 0
     done = 0
-    # A non-finite stimulus or an overflow shows up as inf/NaN in the block
-    # and is reported below as an InstabilityError, not as a warning.
-    with np.errstate(over="ignore", invalid="ignore"):
-        while done < n_steps:
-            first = done + 1
-            if first > span_end:
-                while next_edge < len(edges) and edges[next_edge] <= first:
-                    next_edge += 1
-                span_end = edges[next_edge] - 1 if next_edge < len(edges) else n_steps
+    while done < n_steps:
+        first = done + 1
+        if first > span_end:
+            while next_edge < len(edges) and edges[next_edge] <= first:
+                next_edge += 1
+            span_end = edges[next_edge] - 1 if next_edge < len(edges) else n_steps
+            stale = True
+        if stale:
+            src = np.bincount(heads, weights=currents[seg_index, states], minlength=n)
+            before, stim = stim_vector(first - 1), stim_vector(first)
+            forcing = src + (1.0 - theta) * before + theta * stim
+            if first == 1 and theta < 1.0:
+                # step 1 weighs in the given rail start, not the constrained one
+                miss = u[rails] - rail_inv * before[rails] + k_rc @ u[cnodes]
+                if miss.any():
+                    forcing[cnodes] -= (1.0 - theta) * g_rc.T @ miss
+                    span_end = 1
+            modal_forcing = gain * (back @ forcing)
+            offset[rails] = rail_inv * stim[rails]
+            stale = False
+            length = _FIRST_BLOCK
+        m = min(length, depth, span_end - done)
+        modal = powers[:m] * modal_state
+        modal += sums[:m] * modal_forcing
+        block = modal @ back + offset
+
+        finite = np.isfinite(block).all(axis=1)
+        n_ok = m if finite.all() else int(np.argmin(finite))
+        head_mv = block[:n_ok, heads]
+        head_mv *= 1e3
+        head_mv += rest
+        leaving = (head_mv < lo) | (head_mv >= hi)
+        hits = leaving.any(axis=1)
+        cut = int(np.argmax(hits)) if hits.any() else -1
+        n_take = cut + 1 if cut >= 0 else n_ok
+
+        # record the accepted steps done+1 .. done+n_take that fall on the grid
+        first_row = -(-first // stride)
+        rows = block[first_row * stride - first : n_take : stride]
+        if len(rows):
+            out = voltages[first_row : first_row + len(rows)]
+            np.multiply(rows, 1e3, out=out)
+            out += rest
+            phases[first_row : first_row + len(rows)] = states
+
+        if cut < 0 and n_ok < m:
+            k = done + n_ok + 1
+            raise InstabilityError(f"non-finite voltage at step {k} (t = {k * h:.6g} s)", step=k)
+        if cut >= 0:
+            v_prev = head_mv[cut - 1] if cut > 0 else head_prev
+            changed = False
+            for s in np.flatnonzero(leaving[cut]):
+                old = GateState(states[s])
+                new = step_gate(old, v_prev[s], head_mv[cut, s], params)
+                if new is not old:
+                    states[s] = new
+                    changed = True
+            if changed:
+                lo, hi = lo_table[states], hi_table[states]
                 stale = True
-            if stale:
-                src = np.bincount(heads, weights=currents[seg_index, states], minlength=n)
-                before, stim = stim_vector(first - 1), stim_vector(first)
-                forcing = src + (1.0 - theta) * before + theta * stim
-                if first == 1 and theta < 1.0:
-                    # step 1 weighs in the given rail start, not the constrained one
-                    miss = u[rails] - rail_inv @ before[rails] + k_rc @ u[cnodes]
-                    if miss.any():
-                        forcing[cnodes] -= (1.0 - theta) * g_rc.T @ miss
-                        span_end = 1
-                modal_forcing = gain * (back @ forcing)
-                offset[rails] = rail_inv @ stim[rails]
-                stale = False
-                length = _FIRST_BLOCK
-            m = min(length, depth, span_end - done)
-            modal = powers[:m] * modal_state
-            modal += sums[:m] * modal_forcing
-            block = modal @ back + offset
+                k = done + n_take
+                if k % stride == 0:
+                    phases[k // stride] = states
 
-            finite = np.isfinite(block).all(axis=1)
-            n_ok = m if finite.all() else int(np.argmin(finite))
-            head_mv = block[:n_ok, heads]
-            head_mv *= 1e3
-            head_mv += rest
-            leaving = (head_mv < lo) | (head_mv >= hi)
-            hits = leaving.any(axis=1)
-            cut = int(np.argmax(hits)) if hits.any() else -1
-            n_take = cut + 1 if cut >= 0 else n_ok
-
-            # record the accepted steps done+1 .. done+n_take that fall on the grid
-            first_row = -(-first // stride)
-            rows = block[first_row * stride - first : n_take : stride]
-            if len(rows):
-                out = voltages[first_row : first_row + len(rows)]
-                np.multiply(rows, 1e3, out=out)
-                out += rest
-                phases[first_row : first_row + len(rows)] = states
-
-            if cut < 0 and n_ok < m:
-                k = done + n_ok + 1
-                raise InstabilityError(f"non-finite voltage at step {k} (t = {k * h:.6g} s)", step=k)
-            if cut >= 0:
-                v_prev = head_mv[cut - 1] if cut > 0 else head_prev
-                changed = False
-                for s in np.flatnonzero(leaving[cut]):
-                    old = _PHASES[states[s]]
-                    new = step_gate(old, v_prev[s], head_mv[cut, s], params)
-                    if new is not old:
-                        states[s] = new.value
-                        changed = True
-                if changed:
-                    lo, hi = lo_table[states], hi_table[states]
-                    stale = True
-                    k = done + n_take
-                    if k % stride == 0:
-                        phases[k // stride] = states
-
-            modal_state = modal[n_take - 1]
-            head_prev = head_mv[n_take - 1]
-            done += n_take
-            length = _FIRST_BLOCK if cut >= 0 else 2 * length
+        modal_state = modal[n_take - 1]
+        head_prev = head_mv[n_take - 1]
+        done += n_take
+        length = _FIRST_BLOCK if cut >= 0 else 2 * length
 
     return Waveform(
         times=times,
@@ -480,7 +451,7 @@ def refine_check(
     flat = int(np.argmax(diff))
     sample, col = np.unravel_index(flat, diff.shape)
 
-    firing = GateState.FIRING.value
+    firing = GateState.FIRING
     shift = 0.0
     diverged = False
     for s in range(coarse.phases.shape[1]):

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from enum import Enum
+from enum import Enum, IntEnum
 
 from .errors import InvalidSpecError
 
@@ -133,9 +133,10 @@ class SegmentElements:
     i_k: float
 
 
-class GateState(Enum):
-    """Phase of the channel hysteresis machine; values index phase arrays."""
+class GateState(IntEnum):
+    """Phase of the channel hysteresis machine; a member is its phase-array code."""
 
+    __str__ = Enum.__str__  # str() is "GateState.REST", as test ids show it, not IntEnum's "0"
     REST = 0
     FIRING = 1
     FALLING = 2
@@ -161,19 +162,31 @@ def derive_elements(spec: SegmentSpec, params: MembraneParams) -> SegmentElement
     Returns:
         SegmentElements with r_axial/r_loss in ohms, c_shunt in farads and
         the source magnitudes in amperes.
-    """
-    a_cross = math.pi * (spec.diameter / 2.0) ** 2  # cm^2
-    a_side = math.pi * spec.diameter * spec.length  # cm^2
 
-    r_axial = params.rho_internal * spec.length / a_cross
-    c_shunt = spec.c_scale * params.c_mem * _UF_TO_F * a_side
-    r_loss = 1.0 / (params.g_mem * a_side)
+    Raises:
+        InvalidSpecError: an element under- or overflows.
+    """
+    try:
+        a_cross = math.pi * (spec.diameter / 2.0) ** 2  # cm^2
+        a_side = math.pi * spec.diameter * spec.length  # cm^2
+        r_axial = params.rho_internal * spec.length / a_cross
+        c_shunt = spec.c_scale * params.c_mem * _UF_TO_F * a_side
+        r_loss = 1.0 / (params.g_mem * a_side)
+    except (ZeroDivisionError, OverflowError):
+        raise InvalidSpecError(f"segment {spec}: its lumped elements under- or overflow") from None
     if spec.active:
         i_na = params.j_na * _MA_TO_A * a_side
         i_k = params.j_k * _MA_TO_A * a_side
     else:
         i_na = 0.0
         i_k = 0.0
+    # the engine relies on this: every segment head carries capacitance
+    positive = all(0.0 < x < math.inf for x in (r_axial, c_shunt, r_loss))
+    if not (positive and math.isfinite(i_na) and math.isfinite(i_k)):
+        raise InvalidSpecError(
+            f"segment {spec} gives r_axial={r_axial}, c_shunt={c_shunt}, r_loss={r_loss}, "
+            f"i_na={i_na}, i_k={i_k}; each must be finite and the first three positive"
+        )
     return SegmentElements(r_axial=r_axial, c_shunt=c_shunt, r_loss=r_loss, i_na=i_na, i_k=i_k)
 
 
@@ -217,6 +230,21 @@ def step_gate(
     if v_now >= params.v_trigger:
         return GateState.FIRING
     return state
+
+
+def stay_windows(params: MembraneParams) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Per phase code, the head voltages [lo, hi) (mV) at which step_gate cannot move it.
+
+    The inverse of step_gate's rules: REST can leave only at or above the
+    trigger and FIRING only at or above the sodium cutoff; FALLING leaves
+    below the trigger (MembraneParams keeps the potassium cutoff below it);
+    FALLING_ARMED stays strictly between the potassium cutoff and the
+    trigger.  A voltage outside the window makes the segment a candidate,
+    and step_gate decides.
+    """
+    lo = (-math.inf, -math.inf, params.v_trigger, math.nextafter(params.v_k_cutoff, math.inf))
+    hi = (params.v_trigger, params.v_na_cutoff, math.inf, params.v_trigger)
+    return lo, hi
 
 
 def source_current(state: GateState, elements: SegmentElements) -> float:

@@ -126,6 +126,17 @@ def node_capacitances(topology: Topology, params: MembraneParams) -> dict[NodeId
 # =====================================================================
 
 
+# Most nodes a builder makes.  It refuses more before allocating anything, so
+# an absurd count costs no memory; 2**16 stays above 20,000, so that nets of
+# that size still reach simulate, whose run budget is what refuses them.
+_MAX_NODES = 1 << 16
+
+
+def _check_size(kind: str, n_nodes: int) -> None:
+    if n_nodes > _MAX_NODES:
+        raise InvalidSpecError(f"{kind} would have {n_nodes} nodes, more than {_MAX_NODES}")
+
+
 def _label_nodes(node_ids: list[NodeId]) -> dict[str, NodeId]:
     return {f"v({k})": k for k in node_ids}
 
@@ -145,6 +156,7 @@ def build_chain(
         raise InvalidSpecError(f"chain needs at least one segment, got {n_segments}")
     if not 0.0 <= terminal_extra_c < math.inf:
         raise InvalidSpecError(f"terminal_extra_c must be finite and >= 0, got {terminal_extra_c}")
+    _check_size("chain", n_segments + 1)
     nodes = list(range(1, n_segments + 2))
     segments = tuple(Segment(tail=k, head=k + 1, spec=spec) for k in range(1, n_segments + 1))
     labels = _label_nodes(nodes)
@@ -182,6 +194,7 @@ def build_junction(
         raise InvalidSpecError(f"trunk_len must be >= 1, got {trunk_len}")
     if junction_c_scale <= 0.0:
         raise InvalidSpecError(f"junction_c_scale must be positive, got {junction_c_scale}")
+    _check_size("junction", 2 * branch_len + trunk_len + 1)
 
     junction = branch_len + 1
     z = branch_len + trunk_len + 1
@@ -241,6 +254,7 @@ def build_taper(
         raise InvalidSpecError(f"taper needs at least one segment, got {n_segments}")
     if d_start <= 0.0 or d_end <= 0.0:
         raise InvalidSpecError(f"taper diameters must be positive, got {d_start}, {d_end}")
+    _check_size("taper", n_segments + 1)
     nodes = list(range(1, n_segments + 2))
     segments = []
     for k in range(1, n_segments + 1):

@@ -266,16 +266,16 @@ def test_or_gate_amplitude_monotone_inside_window():
     assert outputs == [True, True, True]
 
 
-def test_truth_table_explicit_combinations_and_node_map():
+def test_truth_table_explicit_combinations():
     top = build_junction(5, 5)
     table = truth_table(
-        top, {"left": "A", "right": 21}, "Z",
-        combinations=[(), ("left", "right")],
+        top, ["A", "B"], "Z",
+        combinations=[(), ("A", "B")],
         config=GATE_CONFIG,
     )
-    assert set(table) == {(), ("left", "right")}
+    assert set(table) == {(), ("A", "B")}
     assert table[()] is False
-    assert table[("left", "right")] is True
+    assert table[("A", "B")] is True
 
 
 def test_truth_table_skew_delays_one_input():

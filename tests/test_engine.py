@@ -237,6 +237,13 @@ def test_isolated_bare_node_is_reported_as_degenerate():
         simulate(topo, (), SimConfig(t_end=1e-3))
 
 
+def test_overflowing_conductances_are_rejected():
+    # every element is finite, but 1/r_axial at each node overflows to inf
+    spec = SegmentSpec(length=1e-10, diameter=1.5e150)
+    with pytest.raises(InvalidSpecError, match="overflow"):
+        simulate(build_chain(2, spec), (), SimConfig(t_end=1e-3))
+
+
 def test_non_finite_stimulus_raises_instability_with_step_index():
     stim = Stimulus(node="A", amplitude=float("inf"), t_start=0.0, duration=1e-3)
     with pytest.raises(InstabilityError) as err:
@@ -382,6 +389,13 @@ def railless_chain() -> Topology:
     return replace(chain, extra_c={chain.resolve("A"): 10e-12})
 
 
+def rail_feeding_two_branches() -> Topology:
+    # one bare rail tails two segments: K couples the two branch heads
+    wiring = ((1, 2), (2, 3), (1, 4), (4, 5))
+    segments = tuple(Segment(tail, head, SegmentSpec()) for tail, head in wiring)
+    return Topology(node_ids=(1, 2, 3, 4, 5), segments=segments, labels={"A": 1})
+
+
 EDGE_CASES = {
     "initial_beside_rail": (build_chain(4), [STIM], {"v(2)": -50.0}),
     "initial_at_rail": (build_chain(4), [STIM], {"A": -20.0}),
@@ -392,6 +406,7 @@ EDGE_CASES = {
         [STIM, Stimulus(node="F", amplitude=5e-9, t_start=0.5e-3, duration=0.5e-3)],
         {"F": -60.0},
     ),
+    "rail_feeding_two_branches": (rail_feeding_two_branches(), [STIM], None),
 }
 
 

@@ -11,6 +11,8 @@ import math
 from dataclasses import fields
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from solitonsim.errors import InvalidSpecError
 from solitonsim.membrane import (
@@ -20,6 +22,7 @@ from solitonsim.membrane import (
     SegmentElements,
     derive_elements,
     source_current,
+    stay_windows,
     step_gate,
 )
 
@@ -137,6 +140,21 @@ def test_segment_geometry_must_be_positive(kwargs):
         SegmentSpec(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"diameter": 1.0e-200},  # cross-section underflows to 0
+        {"diameter": 1.0e200},  # cross-section overflows
+        {"length": 1.0e-160, "diameter": 1.0e-160},  # c_shunt underflows to 0
+    ],
+    ids=["area_underflow", "area_overflow", "capacitance_underflow"],
+)
+def test_extreme_geometry_gives_no_elements(kwargs):
+    spec = SegmentSpec(**kwargs)  # positive and finite, so the spec itself is accepted
+    with pytest.raises(InvalidSpecError, match="segment"):
+        derive_elements(spec, PARAMS)
+
+
 # ---------------------------------------------------------------------
 # gate machine
 # ---------------------------------------------------------------------
@@ -168,6 +186,29 @@ def test_segment_geometry_must_be_positive(kwargs):
 )
 def test_gate_transitions(state, v_prev, v_now, expected):
     assert step_gate(state, v_prev, v_now, PARAMS) is expected
+
+
+MILLIVOLTS = st.floats(-1e3, 1e3, allow_nan=False)
+
+
+@given(data=st.data(), levels=st.lists(MILLIVOLTS, min_size=4, max_size=4, unique=True))
+def test_stay_windows_never_hide_a_transition(data, levels):
+    v_k_cutoff, v_rest, v_trigger, v_na_cutoff = sorted(levels)
+    params = MembraneParams(
+        v_rest=v_rest, v_trigger=v_trigger, v_na_cutoff=v_na_cutoff, v_k_cutoff=v_k_cutoff
+    )
+    # each threshold, exactly and one float either side, besides any voltage
+    near = [
+        math.nextafter(v, to)
+        for v in (v_k_cutoff, v_trigger, v_na_cutoff)
+        for to in (-math.inf, v, math.inf)
+    ]
+    voltage = st.one_of(st.sampled_from(near), MILLIVOLTS)
+    v_prev, v_now = data.draw(voltage), data.draw(voltage)
+    lo, hi = stay_windows(params)
+    for state in GateState:
+        if step_gate(state, v_prev, v_now, params) is not state:
+            assert not lo[state] <= v_now < hi[state]
 
 
 def test_k_cutoff_outranks_rearming_in_falling():

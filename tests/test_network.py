@@ -186,6 +186,9 @@ def test_resolve_accepts_ids_and_labels():
         lambda: build_taper(10, 1e-4, 0.0),
         lambda: build_chain(3, terminal_extra_c=math.nan),
         lambda: build_chain(3, terminal_extra_c=math.inf),
+        lambda: build_chain(1_000_000_000),
+        lambda: build_junction(1_000_000_000, 5),
+        lambda: build_taper(1_000_000_000, 1e-4, 0.5e-4),
     ],
 )
 def test_builder_argument_validation(call):

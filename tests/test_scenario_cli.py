@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 import yaml
 
-from solitonsim import network
+from solitonsim import cli, network
 from solitonsim.cli import main
 from solitonsim.engine import Waveform
-from solitonsim.errors import ScenarioError
+from solitonsim.errors import NotApplicableError, ScenarioError
 from solitonsim.scenario import (
     BUILDER_KINDS,
     analysis_entry,
@@ -477,6 +477,46 @@ def test_cli_run_over_the_memory_budget_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: run needs about") and "floats" in err
     assert not (tmp_path / "out").exists()
+
+
+CHAIN = "{kind: chain, n_segments: 2}"
+
+
+@pytest.mark.parametrize(
+    "builder,segment,fragment",
+    [
+        (CHAIN, "{diameter: 1.0e-200}", "error: segment"),  # cross-section underflows
+        (CHAIN, "{diameter: 1.0e+200}", "error: segment"),  # cross-section overflows
+        (CHAIN, "{length: 1.0e-160, diameter: 1.0e-160}", "error: segment"),  # c_shunt is 0
+        # refused before the builder allocates anything per segment
+        ("{kind: chain, n_segments: 1000000000}", "{}", "nodes, more than 65536"),
+        ("{kind: junction, branch_len: 1000000000, trunk_len: 5}", "{}", "nodes, more than 65536"),
+    ],
+    ids=["area_underflow", "area_overflow", "capacitance_underflow", "chain_bound", "junction_bound"],
+)
+def test_cli_run_unbuildable_documents_exit_2(tmp_path, capsys, builder, segment, fragment):
+    path = tmp_path / "unbuildable.yaml"
+    path.write_text(f"name: unbuildable\nbuilder: {builder}\nsegment: {segment}\nprobes: [v(2)]\n")
+    assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and fragment in err and "Traceback" not in err
+
+
+def test_cli_run_into_an_unusable_out_dir_exits_2(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["run", "fig1_patch", "--out-dir", str(blocker / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_cli_maps_any_solitonsim_error_to_exit_2(tmp_path, capsys, monkeypatch):
+    def fail(*_args):
+        raise NotApplicableError("no pulse at 'Z'")
+
+    monkeypatch.setattr(cli, "run_scenario", fail)
+    assert main(["run", str(write_base_yaml(tmp_path))]) == 2
+    assert capsys.readouterr().err == "error: no pulse at 'Z'\n"
 
 
 def test_cli_sweep_writes_csv(tmp_path, capsys):
