@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .engine import SimConfig, Waveform, simulate
-from .errors import NotApplicableError
+from .errors import NotApplicableError, TopologyError
 from .membrane import GateState, MembraneParams
 from .network import NodeId, Stimulus, Topology
 
@@ -209,6 +209,10 @@ def truth_table(
 
     Returns:
         Map from the tuple of driven input names to the output boolean.
+
+    Raises:
+        TopologyError: an input label the topology lacks, before any row
+            is simulated.
     """
     names = list(inputs)
     if combinations is None:
@@ -218,12 +222,19 @@ def truth_table(
             for combo in itertools.combinations(names, size)
         ]
     skew = dict(skew or {})
+    try:
+        nodes = {
+            name: topology.resolve(name)
+            for name in dict.fromkeys([*names, *itertools.chain.from_iterable(combinations)])
+        }
+    except KeyError as exc:
+        raise TopologyError(f"truth table input: {exc.args[0]}") from None
 
     table: dict[tuple[str, ...], bool] = {}
     for combo in combinations:
         stimuli = [
             Stimulus(
-                node=topology.resolve(name),
+                node=nodes[name],
                 amplitude=amplitude,
                 t_start=t_start + skew.get(name, 0.0),
             )

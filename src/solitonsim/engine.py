@@ -26,21 +26,25 @@ Implementation choices worth knowing:
   run, and a step is a scalar map per mode, z' = r z + g, with
   r = 1/(1 + h lam) (backward Euler) or (1 - h lam/2)/(1 + h lam/2)
   (trapezoidal).  The forcing g (channel sources plus stimuli) changes
-  only at breakpoints: stimulus on/off steps and gate transitions.  In
-  between, j steps on is r^j z + (r^0 + ... + r^(j-1)) g from per-run
-  tables, and one matrix product maps a block of them to node voltages.
+  only at breakpoints: stimulus on/off steps and gate transitions.  A
+  span ends at the next breakpoint; within it, j steps on is
+  r^j z + (r^0 + ... + r^(j-1)) g from per-run tables, and one matrix
+  product maps a block of them to node voltages.  Every block runs to
+  the span's end or to the table depth, whichever comes first.
 * Channel source states are frozen within a step.  After each block the
   head voltages of every step are screened against the window in which
   each segment's phase cannot change; the block is cut at the first step
   where any segment leaves its window, and ``step_gate`` is applied there,
-  with the (previous, new) head voltage pair, to those segments only.  The
-  next block starts from the cut step with the new sources.  Events are
+  with the (previous, new) head voltage pair, to those segments only.  A
+  transition ends the span there, so the next block starts from the cut
+  step with the new sources.  Events are
   therefore resolved at step granularity, exactly as with a step-by-step
   loop, which is what the refinement check is for.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -64,7 +68,10 @@ class SimConfig:
 
     Attributes:
         dt: fixed step size, seconds.
-        t_end: simulated duration, seconds.
+        t_end: simulated duration, seconds.  The run takes the largest
+            whole number of steps whose time does not pass t_end (with
+            1e-9 relative slack for the float quotient), so an off-grid
+            t_end stops at the last step before it.
         record_stride: keep every record_stride-th step (plus t = 0).
         integrator: stepping scheme.
     """
@@ -177,19 +184,20 @@ def _assemble(topology: Topology, params: MembraneParams):
     return index, cap, cond, elements, heads
 
 
-# Floats held by the modal tables r^j and r^0 + ... + r^(j-1): a block is at
-# most this over 2 n_c steps, 25 at n_c = 160.  Twice that split the block
-# product over two OpenBLAS threads: a 161-node run took 3x as long (2 vCPUs).
+# Floats held by the modal tables r^j and r^0 + ... + r^(j-1).  A block runs
+# to the end of its span or to the table depth, this over 2 n_c steps (25 at
+# n_c = 160), whichever comes first.  Twice the depth split the block product
+# over two OpenBLAS threads: a 161-node run took 3x as long (2 vCPUs).
 _BLOCK_FLOATS = 1 << 13
-
-# Steps in the first block after a breakpoint or a cut, doubled after each
-# uncut block: gate events come in bursts, and steps past a cut are wasted.
-_FIRST_BLOCK = 64
 
 # Floats a run may ask for, counted as the dense n x n conductance matrix, the
 # step-time grid and the recorded voltages: 2**27 (1 GiB) is 160 times the
 # largest bundled or benchmarked run, a 161-node line recorded at 5,001 steps.
 _MAX_RUN_FLOATS = 1 << 27
+
+# Relative slack on t_end / dt before it is floored to a step count: a float
+# quotient a few ulps below a whole number must still count its last step.
+_GRID_SLACK = 1e-9
 
 
 def _stimulus_schedule(topology: Topology, index: dict, stimuli, h: float, n_steps: int):
@@ -199,7 +207,7 @@ def _stimulus_schedule(topology: Topology, index: dict, stimuli, h: float, n_ste
     passes ``t_start <= k*h < t_start + duration``; the search runs on
     those very products.  The forcing of step k uses the stimulus at steps
     k-1 and k, so it changes at on and off and again one step later; the
-    sorted breakpoints are those steps in 2..n_steps.
+    sorted breakpoints are those steps in 2..n_steps, then n_steps + 1.
     """
     step_times = np.arange(n_steps + 1) * h if stimuli else None
     drive = []
@@ -215,7 +223,7 @@ def _stimulus_schedule(topology: Topology, index: dict, stimuli, h: float, n_ste
         on, off = (int(k) for k in np.searchsorted(step_times, (t0, t1)))
         drive.append((index[node], stim.amplitude, on, off))
         edges.update((on, on + 1, off, off + 1))
-    return drive, sorted(e for e in edges if 1 < e <= n_steps)
+    return drive, sorted(e for e in edges if 1 < e <= n_steps) + [n_steps + 1]
 
 
 # =====================================================================
@@ -252,8 +260,8 @@ def simulate(
             initial voltage at an unknown node.
         InstabilityError: a step produced a non-finite voltage.
         InvalidSpecError: the run would ask for more than _MAX_RUN_FLOATS
-            floats (checked before anything is allocated), or the assembled
-            system overflows.
+            floats (checked before anything is allocated), the assembled
+            system overflows, or an initial voltage is not finite.
     """
     n = len(topology.node_ids)
     steps = config.t_end / config.dt  # a float, so a tiny dt cannot overflow int()
@@ -295,7 +303,7 @@ def simulate(
     denom = 1.0 + theta * h * lam
     rate, gain = (1.0 - (1.0 - theta) * h * lam) / denom, h / denom
 
-    n_steps = int(round(config.t_end / h))
+    n_steps = math.floor(config.t_end / h * (1.0 + _GRID_SLACK))
     stride = int(config.record_stride)
     drive, edges = _stimulus_schedule(topology, index, stimuli, h, n_steps)
 
@@ -314,6 +322,8 @@ def simulate(
                 col = index[topology.resolve(node)]
             except KeyError as exc:
                 raise TopologyError(f"initial voltage at unknown node: {exc}") from exc
+            if not math.isfinite(mv):
+                raise InvalidSpecError(f"initial voltage at {node!r} must be finite, got {mv}")
             u[col] = (mv - rest) * 1e-3
 
     # per segment and phase code: the source current and the stay window
@@ -337,19 +347,12 @@ def simulate(
     modal_state = vectors.T @ (u[cnodes] / scale)
     offset = np.zeros(n)  # rail voltages G_rr^-1 b_r of the current span
     head_prev = u[heads] * 1e3 + rest
-    lo, hi = lo_table[states], hi_table[states]
-    stale = True  # the forcing must be rebuilt before the next block
-    span_end = 0  # last step of the current stimulus span
-    next_edge = 0
+    span_end = 0  # last step of the current span, over which the forcing is constant
     done = 0
     while done < n_steps:
         first = done + 1
         if first > span_end:
-            while next_edge < len(edges) and edges[next_edge] <= first:
-                next_edge += 1
-            span_end = edges[next_edge] - 1 if next_edge < len(edges) else n_steps
-            stale = True
-        if stale:
+            span_end = edges[bisect.bisect_right(edges, first)] - 1
             src = np.bincount(heads, weights=currents[seg_index, states], minlength=n)
             before, stim = stim_vector(first - 1), stim_vector(first)
             forcing = src + (1.0 - theta) * before + theta * stim
@@ -361,9 +364,8 @@ def simulate(
                     span_end = 1
             modal_forcing = gain * (back @ forcing)
             offset[rails] = rail_inv * stim[rails]
-            stale = False
-            length = _FIRST_BLOCK
-        m = min(length, depth, span_end - done)
+            lo, hi = lo_table[states], hi_table[states]
+        m = min(depth, span_end - done)
         modal = powers[:m] * modal_state
         modal += sums[:m] * modal_forcing
         block = modal @ back + offset
@@ -391,25 +393,21 @@ def simulate(
             k = done + n_ok + 1
             raise InstabilityError(f"non-finite voltage at step {k} (t = {k * h:.6g} s)", step=k)
         if cut >= 0:
+            # a transition at the cut step k ends the span: the next block rebuilds the forcing
+            k = done + n_take
             v_prev = head_mv[cut - 1] if cut > 0 else head_prev
-            changed = False
             for s in np.flatnonzero(leaving[cut]):
                 old = GateState(states[s])
                 new = step_gate(old, v_prev[s], head_mv[cut, s], params)
                 if new is not old:
                     states[s] = new
-                    changed = True
-            if changed:
-                lo, hi = lo_table[states], hi_table[states]
-                stale = True
-                k = done + n_take
-                if k % stride == 0:
-                    phases[k // stride] = states
+                    span_end = k
+            if k % stride == 0:
+                phases[k // stride] = states
 
         modal_state = modal[n_take - 1]
         head_prev = head_mv[n_take - 1]
         done += n_take
-        length = _FIRST_BLOCK if cut >= 0 else 2 * length
 
     return Waveform(
         times=times,

@@ -11,6 +11,7 @@ step sizes that keep the integration converged.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
@@ -28,10 +29,18 @@ class SweepPoint:
     metric: float
 
 
+# Points one sweep may ask for.  Each point is at least one full simulation,
+# milliseconds to seconds, so 2**16 points is already hours of work, while a
+# mistyped 10**9 would build a 32 GB grid before the first run.
+_MAX_SWEEP_STEPS = 1 << 16
+
+
 def sweep_values(start: float, stop: float, steps: int) -> list[float]:
     """Inclusive evenly spaced grid; steps is the number of points."""
-    if steps < 1:
-        raise ScenarioError(f"sweep steps must be >= 1, got {steps}")
+    if not (isinstance(steps, numbers.Integral) and 1 <= steps <= _MAX_SWEEP_STEPS):
+        raise ScenarioError(
+            f"sweep steps must be a whole number in 1..{_MAX_SWEEP_STEPS}, got {steps!r}"
+        )
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise ScenarioError(f"sweep bounds must be finite, got {start} and {stop}")
     if steps == 1:
@@ -144,6 +153,20 @@ def apply_param(scenario: Scenario, param: str, value: float) -> Scenario:
     return _lookup(_APPLIERS, "parameter", param)(scenario, value)
 
 
+def _check_pair(param: str, metric: str) -> None:
+    """Refuse a sweep whose metric would never see the swept value."""
+    if param == "skew" and metric != "truth_ab":
+        raise ScenarioError(
+            f"a skew sweep needs the truth_ab metric, got {metric!r}: "
+            "skew only offsets a truth-table input"
+        )
+    if param == "amplitude" and metric == "truth_ab":
+        raise ScenarioError(
+            "truth_ab drives its inputs at truth_table's fixed 10 nA: "
+            "it cannot follow an amplitude sweep"
+        )
+
+
 def compute_metric(scenario: Scenario, metric: str, *, skew_s: float = 0.0) -> float:
     """Reduce one scenario run to a scalar.
 
@@ -153,8 +176,13 @@ def compute_metric(scenario: Scenario, metric: str, *, skew_s: float = 0.0) -> f
     dispersion: the analysis.dispersion entry's value; NaN where it is not applicable.
     truth_ab: 1.0 when the all-inputs-driven truth-table row is true.
     refine_discrepancy: worst dt versus dt/2 voltage gap, millivolts.
+
+    A non-zero ``skew_s`` reaches only truth_ab; with any other metric it
+    raises ScenarioError.
     """
     measure = _lookup(_METRICS, "metric", metric)
+    if skew_s:
+        _check_pair("skew", metric)
     return measure(scenario, build_topology(scenario), skew_s)
 
 
@@ -165,9 +193,15 @@ def run_sweep(
     metric: str,
     out_path: str | Path | None = None,
 ) -> list[SweepPoint]:
-    """Evaluate the metric at every value; optionally write the CSV."""
+    """Evaluate the metric at every value; optionally write the CSV.
+
+    Raises ScenarioError before any run for a pair whose metric ignores the
+    swept value: ``skew`` with any metric but ``truth_ab``, and
+    ``amplitude`` with ``truth_ab``.
+    """
     apply = _lookup(_APPLIERS, "parameter", param)
     _lookup(_METRICS, "metric", metric)
+    _check_pair(param, metric)
     points = []
     for value in values:
         skew_s = value if param == "skew" else 0.0

@@ -16,6 +16,8 @@ from solitonsim import (
     NotApplicableError,
     SimConfig,
     Stimulus,
+    TopologyError,
+    analysis,
     build_chain,
     build_junction,
     detect_pulses,
@@ -276,6 +278,12 @@ def test_truth_table_explicit_combinations():
     assert set(table) == {(), ("A", "B")}
     assert table[()] is False
     assert table[("A", "B")] is True
+
+
+def test_truth_table_unknown_input_is_a_topology_error(monkeypatch):
+    monkeypatch.setattr(analysis, "simulate", lambda *a, **k: pytest.fail("simulated a row"))
+    with pytest.raises(TopologyError, match="unknown node label 'Q'"):
+        truth_table(build_junction(5, 5), ["A", "Q"], "Z")
 
 
 def test_truth_table_skew_delays_one_input():

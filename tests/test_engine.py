@@ -7,6 +7,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import solitonsim.engine as engine
 from oracles import isolated_patch_times, reference_simulate
@@ -25,7 +27,14 @@ from solitonsim.errors import (
     TopologyError,
 )
 from solitonsim.membrane import GateState, MembraneParams, SegmentSpec
-from solitonsim.network import Segment, Stimulus, Topology, build_chain, node_capacitances
+from solitonsim.network import (
+    Segment,
+    Stimulus,
+    Topology,
+    build_chain,
+    build_junction,
+    node_capacitances,
+)
 from solitonsim.scenario import build_topology, bundled_scenario_names, load_bundled_scenario
 
 PARAMS = MembraneParams()
@@ -263,6 +272,35 @@ def test_initial_voltage_at_unknown_node_is_rejected(node):
         simulate(build_chain(2), (), SimConfig(t_end=1e-3), initial_mv={node: 0.0})
 
 
+@pytest.mark.parametrize("mv", [math.nan, math.inf, -math.inf])
+def test_non_finite_initial_voltage_is_an_invalid_spec(mv):
+    # a bad input, not a solver failure: no InstabilityError at step 1
+    with pytest.raises(InvalidSpecError, match="initial voltage at 'A' must be finite"):
+        simulate(build_chain(2), (), SimConfig(t_end=1e-3), initial_mv={"A": mv})
+
+
+@pytest.mark.parametrize(
+    "t_end,dt,stride,n_samples",
+    [
+        (1.5e-6, 1e-6, 1, 2),  # one step, not two to 2e-6
+        (3e-3, 0.55e-6, 10, 546),  # 5454.5 steps
+        (3e-3, 2.2e-6, 10, 137),  # 1363.6 steps
+    ],
+)
+def test_off_grid_t_end_stops_at_t_end(t_end, dt, stride, n_samples):
+    wave = simulate(build_chain(1), (), SimConfig(dt=dt, t_end=t_end, record_stride=stride))
+    assert len(wave.times) == n_samples
+    assert wave.times[-1] <= t_end
+    assert wave.times[-1] + stride * dt > t_end
+
+
+@pytest.mark.parametrize("t_end", [25e-3, math.nextafter(3e-3, 0.0), 0.3e-3])
+def test_on_grid_t_end_keeps_its_last_step(t_end):
+    # 25e-3 / 1e-6 is 25000.000000000004; the nextafter quotient falls a few ulps short of 3000
+    wave = simulate(build_chain(1), (), SimConfig(dt=1e-6, t_end=t_end, record_stride=1))
+    assert len(wave.times) == round(t_end / 1e-6) + 1
+
+
 def test_waveform_lookup_errors():
     wave = simulate(build_chain(2), (), SimConfig(t_end=1e-3))
     with pytest.raises(NotApplicableError):
@@ -429,6 +467,41 @@ def test_one_step_blocks_give_the_same_run(monkeypatch, name):
     assert np.array_equal(single.times, wave.times)
     assert np.array_equal(single.phases, wave.phases)
     assert float(np.abs(single.voltages_mv - wave.voltages_mv).max()) < 1e-9
+
+
+@st.composite
+def small_runs(draw):
+    """A chain or junction of 1-8 segments, 1-3 stimuli, either integrator."""
+    if draw(st.booleans()):
+        topology = build_chain(draw(st.integers(1, 8)))
+    else:
+        branch = draw(st.integers(1, 3))
+        topology = build_junction(branch, draw(st.integers(1, 8 - 2 * branch)))
+    dt = draw(st.sampled_from([1e-6, 2e-6]))
+    t_end = draw(st.integers(2, int(round(2e-3 / dt)))) * dt
+    stimuli = [
+        Stimulus(
+            node=draw(st.sampled_from(topology.node_ids)),
+            amplitude=draw(st.floats(-5e-9, 30e-9)),
+            t_start=draw(st.one_of(st.just(0.0), st.floats(0.0, t_end))),
+            duration=draw(st.floats(dt / 2, 0.5e-3)),
+        )
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    config = SimConfig(
+        dt=dt,
+        t_end=t_end,
+        record_stride=draw(st.integers(1, 3)),
+        integrator=draw(st.sampled_from(BOTH_INTEGRATORS)),
+    )
+    return topology, stimuli, config, PARAMS
+
+
+# a reference run of 2 ms costs about 55 ms; 150 drawn runs take about 2 s
+@settings(max_examples=150, deadline=None)
+@given(run=small_runs())
+def test_random_small_nets_match_step_by_step_reference(run):
+    assert_matches_reference(simulate(*run), reference_simulate(*run))
 
 
 def test_transition_on_a_recorded_row_with_stride():

@@ -11,8 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from solitonsim import cli, network
+from solitonsim import scenario as scenario_module
 from solitonsim.cli import main
 from solitonsim.engine import Waveform
 from solitonsim.errors import NotApplicableError, ScenarioError
@@ -28,7 +31,7 @@ from solitonsim.scenario import (
     run_scenario,
     write_waveform_csv,
 )
-from solitonsim.sweep import compute_metric
+from solitonsim.sweep import SWEEP_METRICS, SWEEP_PARAMS, compute_metric
 
 # Small chain, short run: enough to produce one pulse at v(2) quickly.
 BASE_DOC = {
@@ -207,6 +210,82 @@ def test_readme_scenario_examples_parse():
     assert blocks
     for block in blocks:
         parse_scenario(yaml.safe_load(block))
+
+
+def test_readme_sweep_lists_match_the_sweep_tables():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    for heading, names in (("Sweep parameters:", SWEEP_PARAMS), ("Sweep metrics:", SWEEP_METRICS)):
+        listed = re.search(re.escape(heading) + r"(.*?)\.", readme, re.DOTALL)
+        assert listed, heading
+        assert tuple(re.findall(r"`([^`]+)`", listed.group(1))) == names
+
+
+# every key the schema knows, at any level, so random documents reach deep fields
+SCHEMA_KEYS = sorted(
+    {*scenario_module._DOCUMENT, *scenario_module._ANALYSIS, "kind"}
+    | {
+        key
+        for table in (*scenario_module._SECTIONS.values(), *scenario_module._BUILDERS.values())
+        for key in table
+    }
+)
+NUMBERS = st.one_of(
+    st.integers(-3, 40), st.sampled_from([0.0, -1e-3, 2**16, 10**9, 2**70]), st.floats()
+)
+LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    NUMBERS,
+    st.text(max_size=8),
+    st.sampled_from(["A", "B", "Z", "J", "v(2)", "trapezoidal", *BUILDER_KINDS]),
+    st.dates(),
+)
+VALUES = st.recursive(
+    LEAVES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(SCHEMA_KEYS) | st.integers(0, 3), inner, max_size=5),
+    max_leaves=10,
+)
+BUNDLED_DOCUMENTS = {
+    name: yaml.safe_load(
+        (Path(scenario_module.__file__).parent / "scenarios" / f"{name}.yaml").read_text()
+    )
+    for name in bundled_scenario_names()
+}
+
+
+def value_paths(node, path=()):
+    """Key paths to every value inside a decoded document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield (*path, key)
+        if isinstance(child, (dict, list)):
+            yield from value_paths(child, (*path, key))
+
+
+@st.composite
+def scenario_documents(draw):
+    """A mapping of schema keys to arbitrary values, or a bundled document
+    with one value somewhere inside it replaced by an arbitrary one."""
+    if draw(st.booleans()):
+        return draw(st.dictionaries(st.sampled_from(SCHEMA_KEYS), VALUES, max_size=8))
+    document = copy.deepcopy(BUNDLED_DOCUMENTS[draw(st.sampled_from(sorted(BUNDLED_DOCUMENTS)))])
+    *parents, key = draw(st.sampled_from(list(value_paths(document))))
+    node = document
+    for parent in parents:
+        node = node[parent]
+    node[key] = draw(NUMBERS | VALUES)
+    return document
+
+
+@settings(max_examples=150, deadline=None)
+@given(document=scenario_documents())
+def test_parsing_gives_a_scenario_or_a_scenario_error(document):
+    try:
+        parsed = parse_scenario(document)
+    except ScenarioError:
+        return
+    assert parsed.builder_kind in BUILDER_KINDS
 
 
 def test_load_scenario_from_file(tmp_path):
@@ -578,6 +657,18 @@ def test_cli_sweep_non_finite_bounds(scenario, param, tmp_path, capsys):
     assert code == 2
     assert "sweep bounds must be finite" in err
     assert "Traceback" not in err
+
+
+def test_cli_sweep_pair_that_ignores_the_value_exits_2(tmp_path, capsys):
+    code = main(
+        ["sweep", "fig11_or", "--param", "amplitude", "--from", "1e-12", "--to", "1e-8",
+         "--steps", "3", "--metric", "truth_ab", "--out-dir", str(tmp_path)]
+    )
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error:" in err and "cannot follow an amplitude sweep" in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.iterdir())
 
 
 def test_cli_requires_a_command():

@@ -10,14 +10,16 @@ solver or element changes from silently moving these boundaries.
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import pytest
 
+import solitonsim.sweep as sweep
 from solitonsim.analysis import truth_table
 from solitonsim.engine import SimConfig
 from solitonsim.errors import ScenarioError
 from solitonsim.network import build_and_gate
-from solitonsim.scenario import parse_scenario
+from solitonsim.scenario import load_bundled_scenario, parse_scenario
 from solitonsim.sweep import apply_param, compute_metric, run_sweep, sweep_values
 
 # junction outputs switch late; 20 ms would clip the output pulse
@@ -76,6 +78,48 @@ def test_sweep_values_inclusive_grid():
             sweep_values(start, stop, 3)
     with pytest.raises(ScenarioError, match="finite"):
         sweep_values(math.nan, math.nan, 1)
+
+
+@pytest.mark.parametrize("steps", [2.5, "3", None, sweep._MAX_SWEEP_STEPS + 1, 10**9])
+def test_sweep_values_rejects_bad_step_counts(steps):
+    with pytest.raises(ScenarioError, match="sweep steps must be a whole number"):
+        sweep_values(0.0, 1.0, steps)
+
+
+def test_sweep_step_bound_is_checked_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ScenarioError):
+            sweep_values(0.0, 1.0, sweep._MAX_SWEEP_STEPS + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the refused grid would hold 2**16 floats, about 2 MB
+    assert peak < 100_000
+    assert len(sweep_values(0.0, 1.0, sweep._MAX_SWEEP_STEPS)) == sweep._MAX_SWEEP_STEPS
+
+
+def no_runs(*_args, **_kwargs):
+    raise AssertionError("a rejected sweep must not simulate")
+
+
+def test_skew_sweep_needs_the_truth_ab_metric(monkeypatch):
+    # skew reaches only truth_ab: peak_mv would read the same at every skew
+    xor = load_bundled_scenario("fig13_xor")
+    monkeypatch.setattr(sweep, "simulate", no_runs)
+    monkeypatch.setattr(sweep, "truth_table", no_runs)
+    for metric in ("peak_mv", "logic", "refine_discrepancy"):
+        with pytest.raises(ScenarioError, match="skew sweep needs the truth_ab metric"):
+            run_sweep(xor, "skew", [0.0, 2e-3, 6e-3], metric)
+    with pytest.raises(ScenarioError, match="skew sweep needs the truth_ab metric"):
+        compute_metric(xor, "peak_mv", skew_s=2e-3)
+
+
+def test_amplitude_sweep_rejects_truth_ab(monkeypatch):
+    # truth_ab drives a fixed 10 nA: it would read 1.0 even at 1 pA
+    monkeypatch.setattr(sweep, "truth_table", no_runs)
+    with pytest.raises(ScenarioError, match="cannot follow an amplitude sweep"):
+        run_sweep(load_bundled_scenario("fig11_or"), "amplitude", [1e-12, 1e-9, 10e-9], "truth_ab")
 
 
 def test_apply_amplitude_rewrites_all_stimuli():
