@@ -86,15 +86,14 @@ def detect_pulses(
         else:
             t_onset = _interp_crossing(t[i0 - 1], t[i0], v[i0 - 1], v[i0], threshold_mv)
 
+        # the samples next to the peak that stay above half height
         half = 0.5 * (v_peak + waveform.rest_mv)
-        j = peak
-        while j > 0 and v[j - 1] > half:
-            j -= 1
+        below = np.flatnonzero(v[:peak] <= half)
+        j = int(below[-1]) + 1 if len(below) else 0
         t_left = float(t[0]) if j == 0 else _interp_crossing(t[j - 1], t[j], v[j - 1], v[j], half)
-        j = peak
+        below = np.flatnonzero(v[peak + 1 :] <= half)
         last = len(v) - 1
-        while j < last and v[j + 1] > half:
-            j += 1
+        j = peak + int(below[0]) if len(below) else last
         t_right = float(t[last]) if j == last else _interp_crossing(
             t[j], t[j + 1], v[j], v[j + 1], half
         )
@@ -211,8 +210,8 @@ def truth_table(
         Map from the tuple of driven input names to the output boolean.
 
     Raises:
-        TopologyError: an input label the topology lacks, before any row
-            is simulated.
+        TopologyError: an input or output label the topology lacks,
+            before any row is simulated.
     """
     names = list(inputs)
     if combinations is None:
@@ -229,6 +228,10 @@ def truth_table(
         }
     except KeyError as exc:
         raise TopologyError(f"truth table input: {exc.args[0]}") from None
+    try:
+        output = topology.resolve(output)
+    except KeyError as exc:
+        raise TopologyError(f"truth table output: {exc.args[0]}") from None
 
     table: dict[tuple[str, ...], bool] = {}
     for combo in combinations:

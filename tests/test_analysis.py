@@ -135,6 +135,47 @@ def test_pulse_starting_at_first_sample_uses_record_start():
     assert ev.t_peak == 0.0
 
 
+def half_height_width_by_loop(wave, node, event):
+    """FWHM found by walking from the peak one sample at a time."""
+    v, t = wave.voltage(node), wave.times
+    peak = int(np.flatnonzero(t == event.t_peak)[0])
+    half = 0.5 * (event.v_peak + wave.rest_mv)
+    j = peak
+    while j > 0 and v[j - 1] > half:
+        j -= 1
+    t_left = t[0] if j == 0 else analysis._interp_crossing(t[j - 1], t[j], v[j - 1], v[j], half)
+    j, last = peak, len(v) - 1
+    while j < last and v[j + 1] > half:
+        j += 1
+    t_right = t[last] if j == last else analysis._interp_crossing(
+        t[j], t[j + 1], v[j], v[j + 1], half
+    )
+    return float(t_right - t_left)
+
+
+@pytest.mark.parametrize(
+    "v",
+    [
+        TRIANGLE,  # half height -20 equals two samples
+        SAWTOOTH,
+        [-70.0, -10.0, 30.0, 30.0, 30.0, -10.0, -70.0],  # flat top
+        [-70.0, -20.0, -20.0, 30.0, -20.0, -20.0, -70.0],  # plateaus at half height
+        [-70.0, -10.0, -10.0, -10.0, 30.0, -10.0, -10.0, -70.0],  # plateaus above it
+        [30.0, 5.0, -30.0, -70.0],  # clipped by the record start
+        [-70.0, -30.0, 5.0, 30.0],  # clipped by the record end
+        [10.0, 20.0, 30.0, 20.0],  # above half height from end to end
+        # the low second pulse's half height (-40) lies before the first pulse
+        [-70.0, -50.0, 30.0, -30.0, -10.0, -30.0, -70.0],
+        TRIANGLE + [-70.0] + TRIANGLE,
+    ],
+)
+def test_half_height_search_matches_the_sample_walk(v):
+    wave = make_waveform(range(len(v)), {1: v})
+    events = detect_pulses(wave, 1)
+    assert events
+    assert [ev.fwhm for ev in events] == [half_height_width_by_loop(wave, 1, ev) for ev in events]
+
+
 def test_unknown_node_rejected():
     wave = make_waveform(range(6), {1: [-70.0] * 6}, labels={"A": 1})
     with pytest.raises(NotApplicableError):
@@ -284,6 +325,12 @@ def test_truth_table_unknown_input_is_a_topology_error(monkeypatch):
     monkeypatch.setattr(analysis, "simulate", lambda *a, **k: pytest.fail("simulated a row"))
     with pytest.raises(TopologyError, match="unknown node label 'Q'"):
         truth_table(build_junction(5, 5), ["A", "Q"], "Z")
+
+
+def test_truth_table_unknown_output_is_a_topology_error(monkeypatch):
+    monkeypatch.setattr(analysis, "simulate", lambda *a, **k: pytest.fail("simulated a row"))
+    with pytest.raises(TopologyError, match="truth table output: unknown node label 'Q'"):
+        truth_table(build_junction(5, 5), ["A", "B"], "Q")
 
 
 def test_truth_table_skew_delays_one_input():

@@ -3,15 +3,18 @@
 from __future__ import annotations
 
 import copy
+import io
 import json
 import math
+import os
 import re
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from solitonsim import cli, network
@@ -421,7 +424,13 @@ def test_outputs_are_byte_deterministic(tmp_path):
     assert json_a.read_bytes() == json_b.read_bytes()
 
 
-@pytest.mark.parametrize("n_rows", [0, 1, 255, 256, 257])
+# rows per chunk of the 5-column tables below
+CSV_CHUNK_ROWS = scenario_module._CSV_CHUNK_CELLS // 5
+
+
+@pytest.mark.parametrize(
+    "n_rows", [0, 1, 255, 256, 257, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1]
+)
 def test_csv_writer_matches_per_float_formatting(tmp_path, n_rows):
     # chunk edges of the writer, and values of every sign and magnitude
     rng = np.random.default_rng(n_rows)
@@ -445,6 +454,64 @@ def test_csv_writer_matches_per_float_formatting(tmp_path, n_rows):
         for row, t in enumerate(wave.times)
     )
     assert path.read_bytes() == expected.encode()
+
+
+# mostly the fast decades [1e-4, 1) and their edges
+POWERS_OF_TEN = (st.integers(-5, 0) | st.integers(-12, 12)).map(lambda k: float(f"1e{k}"))
+CSV_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),  # subnormals and both zeros included
+    st.floats(min_value=-1.0, max_value=1.0),  # the encoder's fast decades
+    POWERS_OF_TEN,
+    # the doubles next to them; %.9g rounds the one below up to the power
+    st.tuples(POWERS_OF_TEN, st.sampled_from([-math.inf, math.inf])).map(
+        lambda pair: float(np.nextafter(*pair))
+    ),
+    # d.dddddddd5e(k+9): a tie at the 10th significant digit, as near as a
+    # double gets, mostly in the fast decades [1e-4, 1)
+    st.tuples(
+        st.integers(10**8, 10**9 - 1),
+        st.integers(-13, -10) | st.integers(-16, 3),
+        st.sampled_from([-1.0, 1.0]),
+    ).map(lambda d: d[2] * float(f"{d[0]}5e{d[1]}")),
+)
+
+
+def per_float_csv(table):
+    return "".join(",".join("%.9g" % x for x in row) + "\n" for row in table.tolist())
+
+
+@pytest.fixture(scope="module")
+def csv_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    pool=st.lists(CSV_FLOATS, min_size=1, max_size=32),
+    n_probes=st.integers(1, 6),
+    edge=st.sampled_from(["0", "1", "chunk-1", "chunk", "chunk+1"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_csv_encoder_writes_any_float_as_per_float_formatting(csv_dir, pool, n_probes, edge, seed):
+    chunk = scenario_module._CSV_CHUNK_CELLS // (n_probes + 1)
+    n_rows = {"0": 0, "1": 1, "chunk-1": chunk - 1, "chunk": chunk, "chunk+1": chunk + 1}[edge]
+    table = np.random.default_rng(seed).choice(np.array(pool), size=(n_rows, n_probes + 1))
+    assert scenario_module._csv_rows(table).decode() == per_float_csv(table)
+
+    # through the writer: times as drawn, volts scaled from millivolts
+    labels = {f"n{i}": i for i in range(n_probes)}
+    wave = Waveform(
+        times=table[:, 0],
+        voltages_mv=table[:, 1:],
+        node_ids=tuple(labels.values()),
+        phases=np.zeros((n_rows, 1), dtype=np.uint8),
+        labels=labels,
+        rest_mv=-70.0,
+    )
+    path = csv_dir / "wave.csv"
+    write_waveform_csv(path, wave, tuple(labels))
+    expected = np.column_stack((table[:, 0], table[:, 1:] * 1e-3))
+    assert path.read_text() == "t_s," + ",".join(labels) + "\n" + per_float_csv(expected)
 
 
 def test_dispersion_entry_shapes_shared_with_the_sweep_metric():
@@ -675,3 +742,107 @@ def test_cli_requires_a_command():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+# Words the CLI property test draws from.  "<...>" tokens stand for paths the
+# test makes; swept values are chosen so that no sweep point runs long (a
+# dt of 1e-9 would step a bundled scenario 3e7 times).
+SCENARIO_REFS = st.sampled_from(
+    [*bundled_scenario_names(), "<mutated>", "<mutated-stem>", "<broken>", "<invalid>",
+     "<missing>", "<directory>", "no_such_scenario", ""]
+)
+USABLE_OUT_DIRS = ["<out>", "<out>", None]  # None: the flag is left out
+UNUSABLE_OUT_DIRS = ["<under-file>", "<file>", "<long-name>"]
+GARBAGE_VALUES = ["nan", "-inf", "abc"]
+SWEEP_VALUES = {
+    "amplitude": ["6e-9", "1e-8", "0", "-1e-9", "1e300"],
+    "junction_c_scale": ["0.5", "2", "0", "-1"],
+    "taper_ratio": ["0.5", "2", "0", "-1", "1e-300"],
+    "dt": ["1e-6", "2e-6", "0", "-1e-6", "1e308"],
+    "skew": ["0", "1e-3", "-1e-3"],
+}
+REPLACEMENTS = [None, "x", [], {}, True, -1, 0, 1e308, "v(2)"]
+
+
+@st.composite
+def cli_cases(draw):
+    """CLI words, and the document that "<mutated>" holds: a bundled one cut
+    to at most 2 ms, perhaps with one value replaced."""
+    document = copy.deepcopy(BUNDLED_DOCUMENTS[draw(st.sampled_from(sorted(BUNDLED_DOCUMENTS)))])
+    document.setdefault("config", {})["t_end"] = draw(st.sampled_from([1e-3, 2e-3]))
+    if draw(st.booleans()):
+        *parents, key = draw(st.sampled_from(list(value_paths(document))))
+        node = document
+        for parent in parents:
+            node = node[parent]
+        node[key] = draw(st.sampled_from(REPLACEMENTS))
+
+    # repeated entries weight a draw toward the words that reach a run
+    command = draw(st.sampled_from(["run", "run", "sweep", "sweep", "sweep", "paper-suite", "bogus"]))
+    argv = [command]
+    if command in ("run", "sweep"):
+        argv.append(draw(SCENARIO_REFS))
+    options = {}
+    if command == "sweep":
+        param = draw(st.sampled_from([*SWEEP_PARAMS, "bogus"]))
+        values = st.sampled_from(SWEEP_VALUES.get(param, ["1"]) + GARBAGE_VALUES)
+        options = {
+            "--param": param,
+            "--from": draw(values),
+            "--to": draw(values),
+            "--steps": draw(st.sampled_from(["1", "2", "3", "1", "2", "0", "-1", "65537", "x"])),
+            "--metric": draw(st.sampled_from([*SWEEP_METRICS, "sparkle"])),
+        }
+        if draw(st.integers(0, 4)) == 0:
+            del options[draw(st.sampled_from(sorted(options)))]  # a required flag left out
+    # a usable --out-dir would run the whole suite (the acceptance tests do)
+    out_dirs = UNUSABLE_OUT_DIRS if command == "paper-suite" else USABLE_OUT_DIRS + UNUSABLE_OUT_DIRS
+    out_dir = draw(st.sampled_from(out_dirs))
+    if out_dir is not None:
+        options["--out-dir"] = out_dir
+    argv += [f"{flag}={value}" for flag, value in options.items()]  # "--from=-1" is no flag
+    argv += draw(st.sampled_from([[], [], [], [], ["--bogus"], ["--out-dir"], ["-h"]]))
+    return argv, document
+
+
+@pytest.fixture(scope="module")
+def cli_paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cli")
+    (root / "broken.yaml").write_text("name: [unclosed\n")
+    (root / "invalid.yaml").write_text("name: bad\nbuilder: {kind: chain}\nprobes: [v(2)]\n")
+    (root / "file").write_text("")
+    (root / "cwd").mkdir()
+    return {
+        "<mutated>": str(root / "mutated.yaml"),
+        "<mutated-stem>": str(root / "mutated"),
+        "<broken>": str(root / "broken.yaml"),
+        "<invalid>": str(root / "invalid.yaml"),
+        "<missing>": str(root / "ghost.yaml"),
+        "<directory>": str(root),
+        "<out>": str(root / "out"),
+        "<under-file>": str(root / "file" / "out"),
+        "<file>": str(root / "file"),
+        "<long-name>": str(root / ("x" * 300)),
+        "<cwd>": str(root / "cwd"),
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=cli_cases())
+def test_cli_exits_0_to_3_without_a_traceback(cli_paths, case):
+    argv, document = case
+    Path(cli_paths["<mutated>"]).write_text(yaml.safe_dump(document))
+    words = [re.sub("<[a-z-]+>", lambda token: cli_paths[token[0]], word) for word in argv]
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(cli_paths["<cwd>"])  # where a run without --out-dir writes
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(words)
+    except SystemExit as exc:  # argparse: 2 for a usage error, 0 for -h
+        code = exc.code
+    finally:
+        os.chdir(cwd)
+    event(f"exit {code}")
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in out.getvalue() + err.getvalue()
