@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 from .errors import InvalidSpecError, TopologyError
-from .membrane import MembraneParams, SegmentSpec, derive_elements
+from .membrane import SegmentSpec
 
 NodeId = int
 
@@ -103,22 +103,6 @@ class Topology:
         if node not in set(self.node_ids):
             raise KeyError(f"unknown node id {node}")
         return node
-
-    def extra_capacitance(self, node: NodeId) -> float:
-        return self.extra_c.get(node, 0.0)
-
-
-def node_capacitances(topology: Topology, params: MembraneParams) -> dict[NodeId, float]:
-    """Total assembled shunt capacitance per node, farads.
-
-    Sum of the c_shunt of every segment whose head is the node, plus the
-    node's extra capacitance.  Nodes that head no segment and carry no
-    extra load come out exactly 0.0 (bare stimulus rails).
-    """
-    caps = {node: topology.extra_capacitance(node) for node in topology.node_ids}
-    for seg in topology.segments:
-        caps[seg.head] += derive_elements(seg.spec, params).c_shunt
-    return caps
 
 
 # =====================================================================

@@ -410,12 +410,16 @@ def _ascii_word(text: str) -> int:
     return int.from_bytes(text.encode("ascii").ljust(4, b"\0"), "little")
 
 
-# n = 0..9999 as four digits, then the same with trailing zeros as NULs
-_DIGITS = np.array(
-    [_ascii_word(f"{n:04d}") for n in range(10_000)]
-    + [_ascii_word(f"{n:04d}".rstrip("0")) for n in range(10_000)],
-    dtype="<u4",
-)
+def _digit_words() -> np.ndarray:
+    """n = 0..9999 as four digits, then the same with trailing zeros as NULs."""
+    digits = np.arange(10_000)[:, None] // np.array([1000, 100, 10, 1]) % 10
+    trailing = np.logical_and.accumulate(digits[:, ::-1] == 0, axis=1)[:, ::-1]
+    chars = digits + ord("0")
+    both = np.concatenate([chars, np.where(trailing, 0, chars)]).astype(np.uint8)
+    return both.view("<u4").ravel()  # each row's four bytes, first digit lowest
+
+
+_DIGITS = _digit_words()
 # A cell's bin counts the bounds |x| reaches: bins 1-4 are the decades
 # [1e-4, 1e-3) .. [0.1, 1), of exponent e = bin - 5.  Each bound's double
 # lies above 10^-k and the next double down below it, so the bin is exact.

@@ -1,4 +1,4 @@
-"""Reference results for the engine tests.
+"""Reference results for the engine and network tests.
 
 Closed-form references: single-node trajectories are piecewise linear RC
 charging curves, so event times come out of exact exponential crossing
@@ -12,6 +12,9 @@ routine ``scipy.linalg.lu_solve`` wraps, called directly to skip the
 wrapper's per-call cost), then the scalar gate rule on every segment.  It
 shares only element derivation and the gate rules with the package, so
 the engine's block propagator can be checked against it.
+
+``node_capacitances`` sums each node's shunt capacitance segment by
+segment, a second sum beside the engine's assembly.
 """
 
 from __future__ import annotations
@@ -109,6 +112,19 @@ def isolated_patch_times(
         else:
             break
     raise AssertionError(f"patch pulse did not complete (stopped in {phase!r} at t={t})")
+
+
+def node_capacitances(topology, params) -> dict:
+    """Total shunt capacitance per node, farads.
+
+    Sum of the c_shunt of every segment whose head is the node, plus the
+    node's extra capacitance.  Nodes that head no segment and carry no
+    extra load come out exactly 0.0 (bare stimulus rails).
+    """
+    caps = {node: topology.extra_c.get(node, 0.0) for node in topology.node_ids}
+    for seg in topology.segments:
+        caps[seg.head] += derive_elements(seg.spec, params).c_shunt
+    return caps
 
 
 def reference_simulate(topology, stimuli, config, params=None, initial_mv=None):

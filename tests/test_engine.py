@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import solitonsim.engine as engine
-from oracles import isolated_patch_times, reference_simulate
+from oracles import isolated_patch_times, node_capacitances, reference_simulate
 from solitonsim.engine import (
     ConvergenceReport,
     Integrator,
@@ -33,7 +33,6 @@ from solitonsim.network import (
     Topology,
     build_chain,
     build_junction,
-    node_capacitances,
 )
 from solitonsim.scenario import build_topology, bundled_scenario_names, load_bundled_scenario
 

