@@ -154,8 +154,6 @@ class Waveform:
 class ConvergenceReport:
     """Result of a dt versus dt/2 comparison at shared sample times."""
 
-    dt_coarse: float
-    dt_fine: float
     max_discrepancy_mv: float
     firing_shift_s: float
     events_diverged: bool
@@ -472,8 +470,6 @@ def refine_check(
         diverged = True
 
     return ConvergenceReport(
-        dt_coarse=config.dt,
-        dt_fine=fine_config.dt,
         max_discrepancy_mv=float(diff.max()),
         firing_shift_s=float(shift),
         events_diverged=diverged,

@@ -18,9 +18,11 @@ of ``network.build_<kind>``.
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import inspect
 import json
+import os
 import sys
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field
@@ -501,6 +503,21 @@ def write_waveform_csv(path: Path, waveform: Waveform, probes: tuple[str, ...]) 
             fh.write(_csv_rows(np.column_stack((waveform.times[start:stop], volts))))
 
 
+def _check_out_dir(out_dir: str | Path) -> None:
+    """Raise the OSError that creating or writing ``out_dir`` would, creating nothing.
+
+    Runs call it before simulating: an unusable directory fails at once,
+    and a run refused later leaves no directory behind.
+    """
+    path = Path(out_dir).absolute()
+    while not path.exists():
+        path = path.parent
+    if not path.is_dir():
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(path))
+    if not os.access(path, os.W_OK | os.X_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+
+
 def write_outputs(run: ScenarioRun, out_dir: str | Path = ".") -> tuple[Path, Path]:
     """Write a run's CSV and summary files; returns (csv_path, summary_path)."""
     out = Path(out_dir)
@@ -520,4 +537,5 @@ def run_scenario(scenario: Scenario, out_dir: str | Path = ".") -> tuple[Path, P
     Returns:
         (csv_path, summary_path).
     """
+    _check_out_dir(out_dir)
     return write_outputs(evaluate_scenario(scenario), out_dir)

@@ -13,6 +13,7 @@ measures, it does not grade on a curve.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -22,7 +23,7 @@ from .analysis import detect_pulses, first_phase_time, rising_edge_slope
 from .engine import SimConfig, refine_check, simulate
 from .errors import NotApplicableError
 from .membrane import GateState, MembraneParams, SegmentSpec, derive_elements
-from .network import Stimulus, build_chain
+from .network import build_chain
 from .scenario import (
     Scenario,
     ScenarioRun,
@@ -44,10 +45,7 @@ class CriterionResult:
 
 
 def format_report(results: list[CriterionResult]) -> str:
-    lines = [
-        f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}" for r in results
-    ]
-    return "\n".join(lines)
+    return "\n".join(f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}" for r in results)
 
 
 # ---------------------------------------------------------------------------
@@ -55,36 +53,29 @@ def format_report(results: list[CriterionResult]) -> str:
 # ---------------------------------------------------------------------------
 
 
+# Each checked element: its name, the unit a PASS detail shows it in, that unit in SI.
+_ELEMENTS = (("c_shunt", "pF", 1e-12), ("r_axial", "MOhm", 1e6), ("r_loss", "MOhm", 1e6))
+# Per segment: its label in a FAIL line and in the PASS detail, the segment, the
+# tolerance, and the published value of each of _ELEMENTS in SI.
+_PUBLISHED_ELEMENTS = (
+    ("default", "defaults", SegmentSpec(), 0.01, (31.4e-12, 200e6, 106e6)),
+    ("half-length", "half-length", SegmentSpec(length=0.05), 0.05, (15.7e-12, 100e6, 212e6)),
+)
+
+
 def criterion_1_elements() -> CriterionResult:
     """Derived lumped elements match the published values."""
-    checks = []
-    default = derive_elements(SegmentSpec(), MembraneParams())
-    for label, got, want, tol in (
-        ("c_shunt", default.c_shunt, 31.4e-12, 0.01),
-        ("r_axial", default.r_axial, 200e6, 0.01),
-        ("r_loss", default.r_loss, 106e6, 0.01),
-    ):
-        checks.append((f"default {label}", got, want, tol))
-    half = derive_elements(SegmentSpec(length=0.05), MembraneParams())
-    for label, got, want, tol in (
-        ("c_shunt", half.c_shunt, 15.7e-12, 0.05),
-        ("r_axial", half.r_axial, 100e6, 0.05),
-        ("r_loss", half.r_loss, 212e6, 0.05),
-    ):
-        checks.append((f"half-length {label}", got, want, tol))
-    bad = [
-        f"{label} {got:.4g} vs {want:.4g} (+/-{tol:.0%})"
-        for label, got, want, tol in checks
-        if abs(got - want) > tol * want
-    ]
-    if bad:
-        return CriterionResult("criterion_1_elements", False, "; ".join(bad))
-    detail = (
-        f"defaults {default.c_shunt * 1e12:.4g} pF / {default.r_axial / 1e6:.4g} MOhm / "
-        f"{default.r_loss / 1e6:.4g} MOhm; half-length {half.c_shunt * 1e12:.4g} pF / "
-        f"{half.r_axial / 1e6:.4g} MOhm / {half.r_loss / 1e6:.4g} MOhm"
-    )
-    return CriterionResult("criterion_1_elements", True, detail)
+    bad, shown = [], []
+    for label, shown_label, spec, tol, published in _PUBLISHED_ELEMENTS:
+        elements = derive_elements(spec, MembraneParams())
+        values = []
+        for (element, unit, scale), want in zip(_ELEMENTS, published):
+            got = getattr(elements, element)
+            values.append(f"{got / scale:.4g} {unit}")
+            if abs(got - want) > tol * want:
+                bad.append(f"{label} {element} {got:.4g} vs {want:.4g} (+/-{tol:.0%})")
+        shown.append(f"{shown_label} " + " / ".join(values))
+    return CriterionResult("criterion_1_elements", not bad, "; ".join(bad or shown))
 
 
 def criterion_2_patch(run: ScenarioRun) -> CriterionResult:
@@ -162,36 +153,28 @@ def criterion_5_annihilation(run: ScenarioRun) -> CriterionResult:
     return CriterionResult(name, ok, detail)
 
 
-def _table_from_summary(run: ScenarioRun) -> dict[tuple[str, ...], bool]:
-    rows = run.summary["analysis"]["truth_table"]["rows"]
-    return {tuple(row["driven"]): row["value"] for row in rows}
+_GATES = (("OR", operator.or_), ("XOR", operator.xor), ("AND", operator.and_))
+_GATE_ROWS = ((), ("A",), ("B",), ("A", "B"))
 
 
 def criterion_6_truth_tables(
     or_run: ScenarioRun, xor_run: ScenarioRun, and_run: ScenarioRun
 ) -> CriterionResult:
     """All twelve gate rows match their Boolean functions exactly."""
-    name = "criterion_6_truth_tables"
-    expected = {
-        "OR": {(): False, ("A",): True, ("B",): True, ("A", "B"): True},
-        "XOR": {(): False, ("A",): True, ("B",): True, ("A", "B"): False},
-        "AND": {(): False, ("A",): False, ("B",): False, ("A", "B"): True},
-    }
-    actual = {
-        "OR": _table_from_summary(or_run),
-        "XOR": _table_from_summary(xor_run),
-        "AND": _table_from_summary(and_run),
-    }
     mismatches = []
-    for gate, table in expected.items():
-        for combo, want in table.items():
-            got = actual[gate].get(combo)
+    for (gate, function), run in zip(_GATES, (or_run, xor_run, and_run)):
+        rows = run.summary["analysis"]["truth_table"]["rows"]
+        table = {tuple(row["driven"]): row["value"] for row in rows}
+        for combo in _GATE_ROWS:
+            want = function("A" in combo, "B" in combo)
+            got = table.get(combo)
             if got != want:
-                driven = "+".join(combo) if combo else "none"
+                driven = "+".join(combo) or "none"
                 mismatches.append(f"{gate}[{driven}] -> {got}, expected {want}")
-    if mismatches:
-        return CriterionResult(name, False, "; ".join(mismatches))
-    return CriterionResult(name, True, "all 12 rows match OR / XOR / AND exactly")
+    gates = " / ".join(gate for gate, _ in _GATES)
+    passed = f"all {len(_GATES) * len(_GATE_ROWS)} rows match {gates} exactly"
+    detail = "; ".join(mismatches) or passed
+    return CriterionResult("criterion_6_truth_tables", not mismatches, detail)
 
 
 def criterion_7_split(or_run: ScenarioRun) -> CriterionResult:
@@ -204,33 +187,24 @@ def criterion_7_split(or_run: ScenarioRun) -> CriterionResult:
     return CriterionResult(name, ok, detail)
 
 
-def criterion_8_taper_asymmetry(
-    taper: Scenario, out_dir: Path
-) -> CriterionResult:
+def criterion_8_taper_asymmetry(taper: Scenario, out_dir: Path) -> CriterionResult:
     """Amplitude window running down the taper contains the reverse window."""
-    name = "criterion_8_taper_asymmetry"
-    forward = replace(
-        taper,
-        name="taper_forward_window",
-        probes=("v(2)", "v(11)"),
-        stimuli=tuple(replace(s, node="A") for s in taper.stimuli),
-    )
-    reverse = replace(
-        taper,
-        name="taper_reverse_window",
-        probes=("v(11)", "v(2)"),
-        stimuli=tuple(replace(s, node="Z") for s in taper.stimuli),
-    )
-    fwd_points = run_sweep(
-        forward, "amplitude", AMPLITUDE_GRID, "logic", out_dir / "taper_forward_window.csv"
-    )
-    rev_points = run_sweep(
-        reverse, "amplitude", AMPLITUDE_GRID, "logic", out_dir / "taper_reverse_window.csv"
-    )
-    fwd_set = {p.value for p in fwd_points if p.metric == 1.0}
-    rev_set = {p.value for p in rev_points if p.metric == 1.0}
-    contained = rev_set <= fwd_set
-    strict = contained and len(fwd_set) > len(rev_set)
+    windows = []
+    for direction, node, probes in (
+        ("forward", "A", ("v(2)", "v(11)")),
+        ("reverse", "Z", ("v(11)", "v(2)")),
+    ):
+        window = replace(
+            taper,
+            name=f"taper_{direction}_window",
+            probes=probes,
+            stimuli=tuple(replace(s, node=node) for s in taper.stimuli),
+        )
+        points = run_sweep(
+            window, "amplitude", AMPLITUDE_GRID, "logic", out_dir / f"{window.name}.csv"
+        )
+        windows.append({p.value for p in points if p.metric == 1.0})
+    fwd_set, rev_set = windows
 
     def show(values: set) -> str:
         return "{" + ", ".join(f"{v * 1e9:g}" for v in sorted(values)) + "} nA"
@@ -239,7 +213,7 @@ def criterion_8_taper_asymmetry(
         f"large->small window {show(fwd_set)}, small->large window {show(rev_set)} "
         f"over {len(AMPLITUDE_GRID)} amplitudes (want strict containment)"
     )
-    return CriterionResult(name, strict, detail)
+    return CriterionResult("criterion_8_taper_asymmetry", rev_set < fwd_set, detail)
 
 
 def criterion_9_numerics(chain_run: ScenarioRun) -> CriterionResult:
@@ -291,8 +265,7 @@ def run_paper_suite(out_dir: str | Path = ".") -> list[CriterionResult]:
         runs[scenario_name] = run
 
     reflection = runs["fig8_reflection"].scenario
-    control_args = dict(reflection.builder_args)
-    control_args["terminal_extra_c"] = 0.0
+    control_args = {**reflection.builder_args, "terminal_extra_c": 0.0}
     control = evaluate_scenario(
         replace(reflection, name="fig8_reflection_control", builder_args=control_args)
     )

@@ -20,7 +20,7 @@ from .analysis import detect_pulses, logic_output, truth_table
 from .engine import Waveform, refine_check, simulate
 from .errors import ScenarioError
 from .network import Topology
-from .scenario import Scenario, analysis_entry, build_topology
+from .scenario import Scenario, _check_out_dir, analysis_entry, build_topology
 
 
 @dataclass(frozen=True)
@@ -197,11 +197,14 @@ def run_sweep(
 
     Raises ScenarioError before any run for a pair whose metric ignores the
     swept value: ``skew`` with any metric but ``truth_ab``, and
-    ``amplitude`` with ``truth_ab``.
+    ``amplitude`` with ``truth_ab``, and OSError before any run for an
+    ``out_path`` whose directory cannot be created or written.
     """
     apply = _lookup(_APPLIERS, "parameter", param)
     _lookup(_METRICS, "metric", metric)
     _check_pair(param, metric)
+    if out_path is not None:
+        _check_out_dir(Path(out_path).parent)
     points = []
     for value in values:
         skew_s = value if param == "skew" else 0.0

@@ -12,9 +12,22 @@ boundaries where the mechanisms do work.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
-from solitonsim.suite import format_report, run_paper_suite
+from solitonsim import suite as suite_module
+from solitonsim.scenario import ScenarioRun, load_bundled_scenario
+from solitonsim.suite import (
+    AMPLITUDE_GRID,
+    CriterionResult,
+    criterion_1_elements,
+    criterion_6_truth_tables,
+    criterion_8_taper_asymmetry,
+    format_report,
+    run_paper_suite,
+)
+from solitonsim.sweep import SweepPoint
 
 CRITERIA = [
     "criterion_1_elements",
@@ -66,6 +79,151 @@ def test_suite_writes_all_artifacts(suite):
 def test_criterion(suite, name):
     _, verdicts = suite
     result = verdicts[name]
-    line = f"{'PASS' if result.passed else 'FAIL'} {result.name}: {result.detail}"
+    line = format_report([result])
     print(line)
     assert result.passed, line
+
+
+# ---------------------------------------------------------------------
+# verdict branches the bundled scenarios never reach
+# ---------------------------------------------------------------------
+
+
+def scaled_elements(monkeypatch, **factors):
+    real = suite_module.derive_elements
+
+    def derive(spec, params):
+        elements = real(spec, params)
+        return replace(
+            elements, **{k: getattr(elements, k) * f for k, f in factors.items()}
+        )
+
+    monkeypatch.setattr(suite_module, "derive_elements", derive)
+
+
+def test_criterion_1_pass_detail():
+    assert criterion_1_elements() == CriterionResult(
+        "criterion_1_elements",
+        True,
+        "defaults 31.42 pF / 199.9 MOhm / 106.1 MOhm; "
+        "half-length 15.71 pF / 99.95 MOhm / 212.2 MOhm",
+    )
+
+
+def test_criterion_1_lists_every_element_off_target(monkeypatch):
+    scaled_elements(monkeypatch, c_shunt=1.1, r_axial=1.1, r_loss=1.1)
+    assert criterion_1_elements() == CriterionResult(
+        "criterion_1_elements",
+        False,
+        "default c_shunt 3.456e-11 vs 3.14e-11 (+/-1%); "
+        "default r_axial 2.199e+08 vs 2e+08 (+/-1%); "
+        "default r_loss 1.167e+08 vs 1.06e+08 (+/-1%); "
+        "half-length c_shunt 1.728e-11 vs 1.57e-11 (+/-5%); "
+        "half-length r_axial 1.099e+08 vs 1e+08 (+/-5%); "
+        "half-length r_loss 2.334e+08 vs 2.12e+08 (+/-5%)",
+    )
+
+
+def test_criterion_1_tolerance_depends_on_the_segment_length(monkeypatch):
+    # 3% off: outside the default's 1%, inside the half-length's 5%
+    scaled_elements(monkeypatch, c_shunt=1.03)
+    assert criterion_1_elements() == CriterionResult(
+        "criterion_1_elements", False, "default c_shunt 3.236e-11 vs 3.14e-11 (+/-1%)"
+    )
+
+
+def gate_run(*high_rows):
+    rows = [(), ("A",), ("B",), ("A", "B")]
+    summary = {
+        "analysis": {
+            "truth_table": {
+                "rows": [{"driven": list(r), "value": r in high_rows} for r in rows]
+            }
+        }
+    }
+    return ScenarioRun(scenario=None, topology=None, waveform=None, summary=summary)
+
+
+OR_RUN = gate_run(("A",), ("B",), ("A", "B"))
+XOR_RUN = gate_run(("A",), ("B",))
+AND_RUN = gate_run(("A", "B"))
+
+
+def test_criterion_6_pass_detail():
+    assert criterion_6_truth_tables(OR_RUN, XOR_RUN, AND_RUN) == CriterionResult(
+        "criterion_6_truth_tables", True, "all 12 rows match OR / XOR / AND exactly"
+    )
+
+
+def test_criterion_6_names_each_mismatched_row_in_order():
+    # OR behaving as AND, XOR as OR, and AND with its one row missing
+    and_run = gate_run()
+    and_run.summary["analysis"]["truth_table"]["rows"].pop()
+    assert criterion_6_truth_tables(AND_RUN, OR_RUN, and_run) == CriterionResult(
+        "criterion_6_truth_tables",
+        False,
+        "OR[A] -> False, expected True; OR[B] -> False, expected True; "
+        "XOR[A+B] -> True, expected False; AND[A+B] -> None, expected True",
+    )
+
+
+def test_criterion_6_names_the_undriven_row_none():
+    all_high = gate_run((), ("A",), ("B",), ("A", "B"))
+    result = criterion_6_truth_tables(all_high, XOR_RUN, AND_RUN)
+    assert result.detail == "OR[none] -> True, expected False"
+
+
+def fake_window_sweep(windows, calls):
+    """A run_sweep stand-in: metric 1.0 on the window of the driven end."""
+
+    def run_sweep(scenario, param, values, metric, out_path=None):
+        (node,) = {s.node for s in scenario.stimuli}
+        calls.append((scenario.name, scenario.probes, node, param, values, metric, out_path))
+        return [SweepPoint(v, 1.0 if v in windows[node] else 0.0) for v in values]
+
+    return run_sweep
+
+
+def test_criterion_8_pass_detail_with_strict_containment(monkeypatch, tmp_path):
+    calls = []
+    windows = {"A": {4e-9, 6e-9, 10e-9}, "Z": {6e-9}}
+    monkeypatch.setattr(suite_module, "run_sweep", fake_window_sweep(windows, calls))
+    taper = load_bundled_scenario("fig16_taper")
+    assert criterion_8_taper_asymmetry(taper, tmp_path) == CriterionResult(
+        "criterion_8_taper_asymmetry",
+        True,
+        "large->small window {4, 6, 10} nA, small->large window {6} nA "
+        "over 7 amplitudes (want strict containment)",
+    )
+    assert calls == [
+        (
+            "taper_forward_window",
+            ("v(2)", "v(11)"),
+            "A",
+            "amplitude",
+            AMPLITUDE_GRID,
+            "logic",
+            tmp_path / "taper_forward_window.csv",
+        ),
+        (
+            "taper_reverse_window",
+            ("v(11)", "v(2)"),
+            "Z",
+            "amplitude",
+            AMPLITUDE_GRID,
+            "logic",
+            tmp_path / "taper_reverse_window.csv",
+        ),
+    ]
+
+
+def test_criterion_8_equal_windows_are_not_strict(monkeypatch, tmp_path):
+    windows = {"A": {6e-9}, "Z": {6e-9}}
+    monkeypatch.setattr(suite_module, "run_sweep", fake_window_sweep(windows, []))
+    result = criterion_8_taper_asymmetry(load_bundled_scenario("fig16_taper"), tmp_path)
+    assert result == CriterionResult(
+        "criterion_8_taper_asymmetry",
+        False,
+        "large->small window {6} nA, small->large window {6} nA "
+        "over 7 amplitudes (want strict containment)",
+    )

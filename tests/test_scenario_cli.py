@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from solitonsim import cli, network
 from solitonsim import scenario as scenario_module
+from solitonsim import sweep as sweep_module
 from solitonsim.cli import main
 from solitonsim.engine import Waveform
 from solitonsim.errors import NotApplicableError, ScenarioError
@@ -663,6 +664,36 @@ def test_cli_run_into_an_unusable_out_dir_exits_2(tmp_path, capsys):
     assert main(["run", "fig1_patch", "--out-dir", str(blocker / "x")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def no_runs(*_args, **_kwargs):
+    raise AssertionError("an unusable --out-dir must be refused before simulating")
+
+
+def test_cli_run_refuses_an_unusable_out_dir_before_simulating(tmp_path, capsys, monkeypatch):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    monkeypatch.setattr(scenario_module, "simulate", no_runs)
+    assert main(["run", "fig1_patch", "--out-dir", str(blocker / "x")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_sweep_refuses_an_unusable_out_dir_before_simulating(tmp_path, capsys, monkeypatch):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    monkeypatch.setattr(sweep_module, "simulate", no_runs)
+    argv = ["sweep", "fig1_patch", "--param", "amplitude", "--from", "1e-9", "--to", "2e-8"]
+    argv += ["--steps", "3", "--metric", "logic", "--out-dir", str(blocker / "x")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_run_refuses_a_read_only_out_dir_before_simulating(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(scenario_module, "simulate", no_runs)
+    monkeypatch.setattr(scenario_module.os, "access", lambda *_args: False)
+    assert main(["run", "fig1_patch", "--out-dir", str(tmp_path / "x")]) == 2
+    assert "Permission denied" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_cli_maps_any_solitonsim_error_to_exit_2(tmp_path, capsys, monkeypatch):
