@@ -8,10 +8,11 @@ and trapezoidal, both unconditionally stable on this passive system.
 
 Implementation choices worth knowing:
 
-* The solve runs in deviation-from-rest coordinates (U = V - v_rest).  The
-  leak battery term cancels identically, so a network with no stimulus
-  stays at exactly U = 0: a zero forcing propagates to exactly zero, bit
-  for bit, under either scheme.
+* The solve runs in millivolts off rest (U = V - v_rest), with source and
+  stimulus currents in milliamperes (siemens times millivolts).  The leak
+  battery term cancels identically, so a network with no stimulus stays at
+  exactly U = 0: a zero forcing propagates to exactly zero, bit for bit,
+  under either scheme, and adding v_rest back gives exactly v_rest.
 * Bare rail nodes (no shunt capacitance) obey G_rr U_r + G_rc U_c = b_r
   at every new time point under both schemes.  Every segment puts its
   capacitance on its head, so no segment joins two rails and G_rr is
@@ -23,23 +24,27 @@ Implementation choices worth knowing:
   the constrained ones; a difference (an initial voltage at or beside a
   rail, a rail stimulus at t = 0) enters that step as extra forcing.
 * With D = C_c^-1/2, D G_red D = V diag(lam) V^T is diagonalized once per
-  run, and a step is a scalar map per mode, z' = r z + g, with
-  r = 1/(1 + h lam) (backward Euler) or (1 - h lam/2)/(1 + h lam/2)
-  (trapezoidal).  The forcing g (channel sources plus stimuli) changes
-  only at breakpoints: stimulus on/off steps and gate transitions.  A
-  span ends at the next breakpoint; within it, j steps on is
-  r^j z + (r^0 + ... + r^(j-1)) g from per-run tables, and one matrix
-  product maps a block of them to node voltages.  Every block runs to
-  the span's end or to the table depth, whichever comes first.
-* Channel source states are frozen within a step.  After each block the
-  head voltages of every step are screened against the window in which
-  each segment's phase cannot change; the block is cut at the first step
-  where any segment leaves its window, and ``step_gate`` is applied there,
-  with the (previous, new) head voltage pair, to those segments only.  A
-  transition ends the span there, so the next block starts from the cut
-  step with the new sources.  Events are
-  therefore resolved at step granularity, exactly as with a step-by-step
-  loop, which is what the refinement check is for.
+  run, and a step is a scalar map per mode, z' = z + g (F - lam z) with
+  g = h/(1 + theta h lam), theta = 1 (backward Euler) or 1/2
+  (trapezoidal); F is the modal forcing (channel sources plus stimuli).
+  F changes only at breakpoints: stimulus on/off steps and gate
+  transitions.  A span ends at the next breakpoint; within it, j steps on
+  is z + R_j (F - lam z) with R_j = g (r^0 + ... + r^(j-1)) and
+  r = 1 - g lam, from one per-run table.  R_j has no 1 - r divisor, so a
+  lam = 0 mode (a capacitive node no segment touches) is exact too.  One
+  matrix product maps a block of these states to node voltages, and
+  every block runs to the span's end or to the table depth, whichever
+  comes first.
+* Channel source states are frozen within a step.  After each block every
+  step's row is screened: the block stops at the first step where any
+  segment's head leaves the window in which its phase cannot change, or
+  where any voltage is non-finite.  A non-finite stop raises
+  InstabilityError at that step; otherwise ``step_gate`` is applied
+  there, with the (previous, new) head voltage pair, to the segments that
+  left.  A transition ends the span there, so the next block starts from
+  the cut step with the new sources.  Events are therefore resolved at
+  step granularity, exactly as with a step-by-step loop, which is what
+  the refinement check is for.
 """
 
 from __future__ import annotations
@@ -191,11 +196,11 @@ def _assemble(topology: Topology, params: MembraneParams):
     return index, cap, cond, elements, heads
 
 
-# Floats held by the modal tables r^j and r^0 + ... + r^(j-1).  A block runs
-# to the end of its span or to the table depth, this over 2 n_c steps (25 at
-# n_c = 160), whichever comes first.  Twice the depth split the block product
-# over two OpenBLAS threads: a 161-node run took 3x as long (2 vCPUs).
-_BLOCK_FLOATS = 1 << 13
+# Floats held by the modal table R_j.  A block runs to the end of its span or
+# to the table depth, this over n_c steps (25 at n_c = 160), whichever comes
+# first.  Twice the depth split the block product over two OpenBLAS threads:
+# a 161-node run took 3x as long (2 vCPUs).
+_BLOCK_FLOATS = 1 << 12
 
 # Floats a run may ask for, counted as the dense n x n conductance matrix, the
 # step-time grid and the recorded voltages: 2**27 (1 GiB) is 160 times the
@@ -314,15 +319,15 @@ def simulate(
     stride = int(config.record_stride)
     drive, edges = _stimulus_schedule(topology, index, stimuli, h, n_steps)
 
-    def stim_vector(k: int) -> np.ndarray:
+    def stim_vector(k: int) -> np.ndarray:  # milliamperes
         vec = np.zeros(n)
         for col, amp, on, off in drive:
             if on <= k < off:
-                vec[col] += amp
+                vec[col] += amp * 1e3
         return vec
 
     rest = params.v_rest
-    u = np.zeros(n)
+    u = np.zeros(n)  # millivolts off rest
     if initial_mv:
         for node, mv in initial_mv.items():
             try:
@@ -331,11 +336,11 @@ def simulate(
                 raise TopologyError(f"initial voltage at unknown node: {exc}") from exc
             if not math.isfinite(mv):
                 raise InvalidSpecError(f"initial voltage at {node!r} must be finite, got {mv}")
-            u[col] = (mv - rest) * 1e-3
+            u[col] = mv - rest
 
-    # per segment and phase code: the source current and the stay window
+    # per segment and phase code: the source current (mA) and the stay window
     n_segments = len(topology.segments)
-    currents = np.array([[source_current(phase, el) for phase in GateState] for el in elements])
+    currents = np.array([[source_current(phase, el) * 1e3 for phase in GateState] for el in elements])
     lo_table, hi_table = map(np.array, stay_windows(params))
     seg_index = np.arange(n_segments)
     states = np.zeros(n_segments, dtype=np.uint8)
@@ -344,16 +349,16 @@ def simulate(
     times = np.arange(n_samples) * stride * h
     voltages = np.empty((n_samples, n))
     phases = np.empty((n_samples, n_segments), dtype=np.uint8)
-    voltages[0] = u * 1e3 + rest
+    voltages[0] = u + rest
     phases[0] = states
 
-    # row j-1 of the tables: r^j and r^0 + ... + r^(j-1), per mode
-    depth = max(1, min(_BLOCK_FLOATS // (2 * n_c), n_steps))
-    powers = np.cumprod(np.broadcast_to(rate, (depth, n_c)), axis=0)
-    sums = np.cumsum(np.vstack((np.ones(n_c), powers[:-1])), axis=0)
+    # row j-1 of the table, per mode: R_j = g (r^0 + ... + r^(j-1))
+    depth = max(1, min(_BLOCK_FLOATS // n_c, n_steps))
+    reach = np.vstack((np.ones(n_c), np.broadcast_to(rate, (depth - 1, n_c))))
+    reach = gain * np.cumsum(np.cumprod(reach, axis=0), axis=0)
     modal_state = vectors.T @ (u[cnodes] / scale)
-    offset = np.zeros(n)  # rail voltages G_rr^-1 b_r of the current span
-    head_prev = u[heads] * 1e3 + rest
+    offset = np.full(n, rest)  # rest plus the rail voltages G_rr^-1 b_r of the current span
+    head_prev = u[heads] + rest
     span_end = 0  # last step of the current span, over which the forcing is constant
     done = 0
     while done < n_steps:
@@ -369,39 +374,33 @@ def simulate(
                 if miss.any():
                     forcing[cnodes] -= (1.0 - theta) * g_rc.T @ miss
                     span_end = 1
-            modal_forcing = gain * (back @ forcing)
-            offset[rails] = rail_inv * stim[rails]
+            modal_forcing = back @ forcing
+            offset[rails] = rest + rail_inv * stim[rails]
             lo, hi = lo_table[states], hi_table[states]
         m = min(depth, span_end - done)
-        modal = powers[:m] * modal_state
-        modal += sums[:m] * modal_forcing
+        modal = reach[:m] * (modal_forcing - lam * modal_state)
+        modal += modal_state
         block = modal @ back + offset
 
-        finite = np.isfinite(block).all(axis=1)
-        n_ok = m if finite.all() else int(np.argmin(finite))
-        head_mv = block[:n_ok, heads]
-        head_mv *= 1e3
-        head_mv += rest
+        # a step stops the block when a head leaves its window or a value is non-finite
+        head_mv = block[:, heads]
         leaving = (head_mv < lo) | (head_mv >= hi)
-        hits = leaving.any(axis=1)
-        cut = int(np.argmax(hits)) if hits.any() else -1
-        n_take = cut + 1 if cut >= 0 else n_ok
+        finite = np.isfinite(block).all(axis=1)
+        stop = leaving.any(axis=1) | ~finite
+        cut = int(np.argmax(stop))
+        n_take = cut + 1 if stop[cut] else m
+        k = done + n_take
+        if not finite[n_take - 1]:
+            raise InstabilityError(f"non-finite voltage at step {k} (t = {k * h:.6g} s)", step=k)
 
-        # record the accepted steps done+1 .. done+n_take that fall on the grid
+        # record the accepted steps done+1 .. k that fall on the grid
         first_row = -(-first // stride)
         rows = block[first_row * stride - first : n_take : stride]
-        if len(rows):
-            out = voltages[first_row : first_row + len(rows)]
-            np.multiply(rows, 1e3, out=out)
-            out += rest
-            phases[first_row : first_row + len(rows)] = states
+        voltages[first_row : first_row + len(rows)] = rows
+        phases[first_row : first_row + len(rows)] = states
 
-        if cut < 0 and n_ok < m:
-            k = done + n_ok + 1
-            raise InstabilityError(f"non-finite voltage at step {k} (t = {k * h:.6g} s)", step=k)
-        if cut >= 0:
+        if stop[cut]:
             # a transition at the cut step k ends the span: the next block rebuilds the forcing
-            k = done + n_take
             v_prev = head_mv[cut - 1] if cut > 0 else head_prev
             for s in np.flatnonzero(leaving[cut]):
                 old = GateState(states[s])
@@ -454,23 +453,19 @@ def refine_check(
     n_shared = min(len(coarse.times), len(fine.times))
     diff = np.abs(coarse.voltages_mv[:n_shared] - fine.voltages_mv[:n_shared])
 
-    firing = GateState.FIRING
-    shift = 0.0
-    diverged = False
-    for s in range(coarse.phases.shape[1]):
-        hits_c = np.nonzero(coarse.phases[:n_shared, s] == firing)[0]
-        hits_f = np.nonzero(fine.phases[:n_shared, s] == firing)[0]
-        if (len(hits_c) == 0) != (len(hits_f) == 0):
-            diverged = True
-            continue
-        if len(hits_c) and len(hits_f):
-            shift = max(shift, abs(coarse.times[hits_c[0]] - fine.times[hits_f[0]]))
+    fired_c = coarse.phases[:n_shared] == GateState.FIRING
+    fired_f = fine.phases[:n_shared] == GateState.FIRING
+    ever_c, ever_f = fired_c.any(axis=0), fired_f.any(axis=0)
+    # argmax finds each segment's first firing sample; only segments that
+    # fired in both runs have a shift
+    first_c = coarse.times[fired_c.argmax(axis=0)]
+    first_f = fine.times[fired_f.argmax(axis=0)]
+    shift = float(np.abs(first_c - first_f)[ever_c & ever_f].max(initial=0.0))
     spacing = config.record_stride * config.dt
-    if shift > 2.0 * spacing:
-        diverged = True
+    diverged = bool((ever_c != ever_f).any()) or shift > 2.0 * spacing
 
     return ConvergenceReport(
         max_discrepancy_mv=float(diff.max()),
-        firing_shift_s=float(shift),
+        firing_shift_s=shift,
         events_diverged=diverged,
     )

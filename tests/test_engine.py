@@ -253,10 +253,13 @@ def test_overflowing_conductances_are_rejected():
 
 
 def test_non_finite_stimulus_raises_instability_with_step_index():
-    stim = Stimulus(node="A", amplitude=float("inf"), t_start=0.0, duration=1e-3)
-    with pytest.raises(InstabilityError) as err:
-        simulate(build_chain(2), [stim], SimConfig(t_end=1e-3))
-    assert err.value.step == 1
+    from_start = [Stimulus(node="A", amplitude=math.inf, t_start=0.0, duration=1e-3)]
+    # finite blocks first, then an infinite stimulus from t = 0.5 ms
+    later = [Stimulus("A", 10e-9, 0.1e-3), Stimulus("A", math.inf, 0.5e-3, 1e-3)]
+    for stimuli, step in ((from_start, 1), (later, 500)):
+        with pytest.raises(InstabilityError) as err:
+            simulate(build_chain(2), stimuli, SimConfig(t_end=1e-3))
+        assert err.value.step == step
 
 
 def test_stimulus_at_unknown_node_is_rejected():
