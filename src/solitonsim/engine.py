@@ -1,50 +1,22 @@
 """Fixed-step implicit transient solver for segmented membrane lines.
 
-The network is the standard nodal system  C dV/dt = -G V + b(t)  with a
-diagonal capacitance matrix, a symmetric conductance matrix (axial elements
-plus per-node leak), and a right-hand side holding the switched channel
-sources and any stimuli.  Two implicit schemes are offered, backward Euler
-and trapezoidal, both unconditionally stable on this passive system.
+The network is the nodal system  C dV/dt = -G V + b(t)  with a diagonal
+capacitance matrix, a symmetric conductance matrix (axial elements plus
+per-node leak), and the switched channel sources and stimuli in b.  Backward
+Euler and trapezoidal are offered, both unconditionally stable on this
+passive system.  The solve runs in millivolts off rest with currents in
+milliamperes, so a network with no stimulus stays at exactly v_rest.
 
-Implementation choices worth knowing:
-
-* The solve runs in millivolts off rest (U = V - v_rest), with source and
-  stimulus currents in milliamperes (siemens times millivolts).  The leak
-  battery term cancels identically, so a network with no stimulus stays at
-  exactly U = 0: a zero forcing propagates to exactly zero, bit for bit,
-  under either scheme, and adding v_rest back gives exactly v_rest.
-* Bare rail nodes (no shunt capacitance) obey G_rr U_r + G_rc U_c = b_r
-  at every new time point under both schemes.  Every segment puts its
-  capacitance on its head, so no segment joins two rails and G_rr is
-  diagonal.  The rails are eliminated once per run in closed form (Kron
-  reduction): U_r = G_rr^-1 b_r - K U_c, K = G_rr^-1 G_rc,
-  leaves  C_c dU_c/dt = -G_red U_c + b_c - K^T b_r  with the Schur
-  complement G_red = G_cc - G_rc^T K, and the scheme steps that ODE.  The
-  trapezoidal step 1 alone averages the given starting rail values, not
-  the constrained ones; a difference (an initial voltage at or beside a
-  rail, a rail stimulus at t = 0) enters that step as extra forcing.
-* With D = C_c^-1/2, D G_red D = V diag(lam) V^T is diagonalized once per
-  run, and a step is a scalar map per mode, z' = z + g (F - lam z) with
-  g = h/(1 + theta h lam), theta = 1 (backward Euler) or 1/2
-  (trapezoidal); F is the modal forcing (channel sources plus stimuli).
-  F changes only at breakpoints: stimulus on/off steps and gate
-  transitions.  A span ends at the next breakpoint; within it, j steps on
-  is z + R_j (F - lam z) with R_j = g (r^0 + ... + r^(j-1)) and
-  r = 1 - g lam, from one per-run table.  R_j has no 1 - r divisor, so a
-  lam = 0 mode (a capacitive node no segment touches) is exact too.  One
-  matrix product maps a block of these states to node voltages, and
-  every block runs to the span's end or to the table depth, whichever
-  comes first.
-* Channel source states are frozen within a step.  After each block every
-  step's row is screened: the block stops at the first step where any
-  segment's head leaves the window in which its phase cannot change, or
-  where any voltage is non-finite.  A non-finite stop raises
-  InstabilityError at that step; otherwise ``step_gate`` is applied
-  there, with the (previous, new) head voltage pair, to the segments that
-  left.  A transition ends the span there, so the next block starts from
-  the cut step with the new sources.  Events are therefore resolved at
-  step granularity, exactly as with a step-by-step loop, which is what
-  the refinement check is for.
+A run has two parts.  ``_ModalSystem``, the linear part, is built once per
+run and advances a modal state over a span of constant forcing.  The span
+loop in ``simulate`` owns the time axis: a span ends at the next stimulus
+on/off step or gate transition.  Channel source states are frozen within a
+step, and every step's row is screened: a block stops at the first step
+where a segment's head leaves the window in which its phase cannot change
+(``step_gate`` decides there, and a transition ends the span) or where a
+voltage is non-finite (InstabilityError).  Events are therefore resolved at
+step granularity, exactly as with a step-by-step loop, which is what the
+refinement check is for.
 """
 
 from __future__ import annotations
@@ -165,35 +137,8 @@ class ConvergenceReport:
 
 
 # =====================================================================
-# Assembly
+# Simulation
 # =====================================================================
-
-
-def _assemble(topology: Topology, params: MembraneParams):
-    """Build index maps, capacitance vector, conductance matrix, elements."""
-    ids = topology.node_ids
-    index = {node: i for i, node in enumerate(ids)}
-    n = len(ids)
-
-    cap = np.zeros(n)
-    cond = np.zeros((n, n))
-    elements = []
-    heads = np.empty(len(topology.segments), dtype=np.intp)
-    for s, seg in enumerate(topology.segments):
-        el = derive_elements(seg.spec, params)
-        elements.append(el)
-        t, h = index[seg.tail], index[seg.head]
-        heads[s] = h
-        g_ax = 1.0 / el.r_axial
-        cond[t, t] += g_ax
-        cond[h, h] += g_ax
-        cond[t, h] -= g_ax
-        cond[h, t] -= g_ax
-        cond[h, h] += 1.0 / el.r_loss
-        cap[h] += el.c_shunt
-    for node, extra in topology.extra_c.items():
-        cap[index[node]] += extra
-    return index, cap, cond, elements, heads
 
 
 # Floats held by the modal table R_j.  A block runs to the end of its span or
@@ -210,6 +155,115 @@ _MAX_RUN_FLOATS = 1 << 27
 # Relative slack on t_end / dt before it is floored to a step count: a float
 # quotient a few ulps below a whole number must still count its last step.
 _GRID_SLACK = 1e-9
+
+
+@dataclass(frozen=True, eq=False)
+class _ModalSystem:
+    """The linear part of one run, fixed by (topology, params, dt, integrator).
+
+    Bare rail nodes (no shunt capacitance) obey G_rr U_r + G_rc U_c = b_r at
+    every new time point.  Every segment puts its capacitance on its head, so
+    G_rr is diagonal, and the rails are eliminated in closed form (Kron
+    reduction): U_r = G_rr^-1 b_r - K U_c with K = G_rr^-1 G_rc leaves
+    C_c dU_c/dt = -G_red U_c + b_c - K^T b_r, G_red = G_cc - G_rc^T K.
+
+    With D = C_c^-1/2, D G_red D = V diag(lam) V^T, and a step is a scalar map
+    per mode, z' = z + g (F - lam z) with g = h/(1 + theta h lam), theta = 1
+    (backward Euler) or 1/2 (trapezoidal); F = back b is the modal forcing.
+    Over a span of constant F, j steps on is z + R_j (F - lam z), where
+    R_j = g (r^0 + ... + r^(j-1)) with r = 1 - g lam is row j-1 of ``reach``.
+    R_j has no 1 - r divisor, so a lam = 0 mode (a capacitive node no segment
+    touches) is exact too.  ``back`` maps modal states to node voltages.
+    """
+
+    index: dict[NodeId, int]  # node id -> column
+    heads: np.ndarray  # head column per segment
+    currents: np.ndarray  # source current (mA) per segment and phase code
+    theta: float
+    cnodes: np.ndarray  # columns of the capacitive nodes
+    rails: np.ndarray  # columns of the bare rails
+    rail_inv: np.ndarray  # the diagonal of G_rr^-1
+    k_rc: np.ndarray
+    g_rc: np.ndarray
+    scale: np.ndarray  # the diagonal of D
+    vectors: np.ndarray
+    lam: np.ndarray
+    back: np.ndarray
+    reach: np.ndarray
+
+    def start(self, u: np.ndarray, stim: np.ndarray):
+        """The modal state of node voltages u, and node currents to take off step 1.
+
+        Trapezoidal step 1 alone averages the given rail start, not the
+        constrained one: a difference (an initial voltage at or beside a rail,
+        a rail stimulus ``stim`` at t = 0) enters it as extra forcing.
+        """
+        state = self.vectors.T @ (u[self.cnodes] / self.scale)
+        miss = u[self.rails] - self.rail_inv * stim[self.rails] + self.k_rc @ u[self.cnodes]
+        if self.theta == 1.0 or not miss.any():
+            return state, None
+        extra = np.zeros(len(u))
+        extra[self.cnodes] = (1.0 - self.theta) * self.g_rc.T @ miss
+        return state, extra
+
+    def advance(self, state: np.ndarray, forcing: np.ndarray, m: int) -> np.ndarray:
+        """Modal rows 1..m of a span under constant modal forcing."""
+        modal = self.reach[:m] * (forcing - self.lam * state)
+        modal += state
+        return modal
+
+
+def _modal_system(
+    topology: Topology, params: MembraneParams, h: float, integrator: Integrator, n_steps: int
+) -> _ModalSystem:
+    """Assemble, Kron-reduce and diagonalize a network; tabulate R_j for up to n_steps steps."""
+    ids = topology.node_ids
+    index = {node: i for i, node in enumerate(ids)}
+    cap = np.zeros(len(ids))
+    cond = np.zeros((len(ids), len(ids)))
+    elements = [derive_elements(seg.spec, params) for seg in topology.segments]
+    heads = np.array([index[seg.head] for seg in topology.segments], dtype=np.intp)
+    for seg, el, hd in zip(topology.segments, elements, heads):
+        tl = index[seg.tail]
+        g_ax = 1.0 / el.r_axial
+        cond[tl, tl] += g_ax
+        cond[hd, hd] += g_ax
+        cond[tl, hd] -= g_ax
+        cond[hd, tl] -= g_ax
+        cond[hd, hd] += 1.0 / el.r_loss
+        cap[hd] += el.c_shunt
+    for node, extra in topology.extra_c.items():
+        cap[index[node]] += extra
+    currents = np.array([[source_current(phase, el) * 1e3 for phase in GateState] for el in elements])
+
+    cnodes, rails = np.flatnonzero(cap > 0.0), np.flatnonzero(cap == 0.0)
+    g_rc = cond[np.ix_(rails, cnodes)]
+    g_rr = cond[rails, rails]  # the diagonal of G_rr, which is all of it
+    if not g_rr.all():
+        isolated = [ids[i] for i in rails[g_rr == 0.0]]
+        raise TopologyError(f"degenerate topology: bare nodes {isolated} touch no segment")
+    rail_inv = 1.0 / g_rr
+    k_rc = g_rc * rail_inv[:, None]
+    reduced = cond[np.ix_(cnodes, cnodes)] - g_rc.T @ k_rc
+
+    scale = 1.0 / np.sqrt(cap[cnodes])
+    scaled = scale[:, None] * reduced * scale
+    if not np.isfinite(scaled).all():
+        raise InvalidSpecError("the segment elements overflow when assembled: geometry too extreme")
+    lam, vectors = np.linalg.eigh(scaled)
+    back = np.empty((len(cnodes), len(ids)))
+    back[:, cnodes] = (scale[:, None] * vectors).T
+    back[:, rails] = -back[:, cnodes] @ k_rc.T
+
+    theta = 0.5 if integrator is Integrator.TRAPEZOIDAL else 1.0
+    denom = 1.0 + theta * h * lam
+    rate, gain = (1.0 - (1.0 - theta) * h * lam) / denom, h / denom
+    depth = max(1, min(_BLOCK_FLOATS // len(cnodes), n_steps))
+    reach = np.vstack((np.ones(len(cnodes)), np.broadcast_to(rate, (depth - 1, len(cnodes)))))
+    reach = gain * np.cumsum(np.cumprod(reach, axis=0), axis=0)
+    return _ModalSystem(
+        index, heads, currents, theta, cnodes, rails, rail_inv, k_rc, g_rc, scale, vectors, lam, back, reach
+    )
 
 
 def _stimulus_schedule(topology: Topology, index: dict, stimuli, h: float, n_steps: int):
@@ -236,11 +290,6 @@ def _stimulus_schedule(topology: Topology, index: dict, stimuli, h: float, n_ste
         drive.append((index[node], stim.amplitude, on, off))
         edges.update((on, on + 1, off, off + 1))
     return drive, sorted(e for e in edges if 1 < e <= n_steps) + [n_steps + 1]
-
-
-# =====================================================================
-# Simulation
-# =====================================================================
 
 
 # overflows and non-finite stimuli become inf/NaN, reported as typed errors below
@@ -285,39 +334,11 @@ def simulate(
         )
     if params is None:
         params = MembraneParams()
-    index, cap, cond, elements, heads = _assemble(topology, params)
     h = config.dt
-    # weight of the new time point in a step: 1/2 trapezoidal, 1 backward Euler
-    theta = 0.5 if config.integrator is Integrator.TRAPEZOIDAL else 1.0
-
-    # Kron reduction onto the capacitive nodes c; the rails r are algebraic
-    cnodes, rails = np.flatnonzero(cap > 0.0), np.flatnonzero(cap == 0.0)
-    n_c = len(cnodes)
-    g_rc = cond[np.ix_(rails, cnodes)]
-    g_rr = cond[rails, rails]  # the diagonal of G_rr, which is all of it
-    if not g_rr.all():
-        isolated = [topology.node_ids[i] for i in rails[g_rr == 0.0]]
-        raise TopologyError(f"degenerate topology: bare nodes {isolated} touch no segment")
-    rail_inv = 1.0 / g_rr
-    k_rc = g_rc * rail_inv[:, None]
-    reduced = cond[np.ix_(cnodes, cnodes)] - g_rc.T @ k_rc
-
-    # modes of D G_red D; back maps modal states to node voltages (rails
-    # included), and its transpose maps node currents to modal forcing
-    scale = 1.0 / np.sqrt(cap[cnodes])
-    system = scale[:, None] * reduced * scale
-    if not np.isfinite(system).all():
-        raise InvalidSpecError("the segment elements overflow when assembled: geometry too extreme")
-    lam, vectors = np.linalg.eigh(system)
-    back = np.empty((n_c, n))
-    back[:, cnodes] = (scale[:, None] * vectors).T
-    back[:, rails] = -back[:, cnodes] @ k_rc.T
-    denom = 1.0 + theta * h * lam
-    rate, gain = (1.0 - (1.0 - theta) * h * lam) / denom, h / denom
-
     n_steps = math.floor(config.t_end / h * (1.0 + _GRID_SLACK))
+    system = _modal_system(topology, params, h, config.integrator, n_steps)
     stride = int(config.record_stride)
-    drive, edges = _stimulus_schedule(topology, index, stimuli, h, n_steps)
+    drive, edges = _stimulus_schedule(topology, system.index, stimuli, h, n_steps)
 
     def stim_vector(k: int) -> np.ndarray:  # milliamperes
         vec = np.zeros(n)
@@ -331,17 +352,15 @@ def simulate(
     if initial_mv:
         for node, mv in initial_mv.items():
             try:
-                col = index[topology.resolve(node)]
+                col = system.index[topology.resolve(node)]
             except KeyError as exc:
                 raise TopologyError(f"initial voltage at unknown node: {exc}") from exc
             if not math.isfinite(mv):
                 raise InvalidSpecError(f"initial voltage at {node!r} must be finite, got {mv}")
             u[col] = mv - rest
 
-    # per segment and phase code: the source current (mA) and the stay window
     n_segments = len(topology.segments)
-    currents = np.array([[source_current(phase, el) * 1e3 for phase in GateState] for el in elements])
-    lo_table, hi_table = map(np.array, stay_windows(params))
+    lo_table, hi_table = map(np.array, stay_windows(params))  # per phase code, the stay window
     seg_index = np.arange(n_segments)
     states = np.zeros(n_segments, dtype=np.uint8)
 
@@ -352,38 +371,30 @@ def simulate(
     voltages[0] = u + rest
     phases[0] = states
 
-    # row j-1 of the table, per mode: R_j = g (r^0 + ... + r^(j-1))
-    depth = max(1, min(_BLOCK_FLOATS // n_c, n_steps))
-    reach = np.vstack((np.ones(n_c), np.broadcast_to(rate, (depth - 1, n_c))))
-    reach = gain * np.cumsum(np.cumprod(reach, axis=0), axis=0)
-    modal_state = vectors.T @ (u[cnodes] / scale)
+    modal_state, step_1_extra = system.start(u, stim_vector(0))
     offset = np.full(n, rest)  # rest plus the rail voltages G_rr^-1 b_r of the current span
-    head_prev = u[heads] + rest
+    head_prev = u[system.heads] + rest
     span_end = 0  # last step of the current span, over which the forcing is constant
     done = 0
     while done < n_steps:
         first = done + 1
         if first > span_end:
             span_end = edges[bisect.bisect_right(edges, first)] - 1
-            src = np.bincount(heads, weights=currents[seg_index, states], minlength=n)
+            src = np.bincount(system.heads, weights=system.currents[seg_index, states], minlength=n)
             before, stim = stim_vector(first - 1), stim_vector(first)
-            forcing = src + (1.0 - theta) * before + theta * stim
-            if first == 1 and theta < 1.0:
-                # step 1 weighs in the given rail start, not the constrained one
-                miss = u[rails] - rail_inv * before[rails] + k_rc @ u[cnodes]
-                if miss.any():
-                    forcing[cnodes] -= (1.0 - theta) * g_rc.T @ miss
-                    span_end = 1
-            modal_forcing = back @ forcing
-            offset[rails] = rest + rail_inv * stim[rails]
+            forcing = src + (1.0 - system.theta) * before + system.theta * stim
+            if first == 1 and step_1_extra is not None:
+                forcing -= step_1_extra
+                span_end = 1
+            modal_forcing = system.back @ forcing
+            offset[system.rails] = rest + system.rail_inv * stim[system.rails]
             lo, hi = lo_table[states], hi_table[states]
-        m = min(depth, span_end - done)
-        modal = reach[:m] * (modal_forcing - lam * modal_state)
-        modal += modal_state
-        block = modal @ back + offset
+        m = min(len(system.reach), span_end - done)
+        modal = system.advance(modal_state, modal_forcing, m)
+        block = modal @ system.back + offset
 
         # a step stops the block when a head leaves its window or a value is non-finite
-        head_mv = block[:, heads]
+        head_mv = block[:, system.heads]
         leaving = (head_mv < lo) | (head_mv >= hi)
         finite = np.isfinite(block).all(axis=1)
         stop = leaving.any(axis=1) | ~finite

@@ -12,7 +12,10 @@ boundaries where the mechanisms do work.
 
 from __future__ import annotations
 
+import json
 from dataclasses import replace
+from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
@@ -82,6 +85,67 @@ def test_criterion(suite, name):
     line = format_report([result])
     print(line)
     assert result.passed, line
+
+
+# ---------------------------------------------------------------------
+# golden record (tests/golden/make_golden.py regenerates it)
+# ---------------------------------------------------------------------
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def assert_summary_close(got, want, path="summary"):
+    """Same keys and non-float values; floats within 1e-9 relative."""
+    assert type(got) is type(want), f"{path}: {got!r} vs {want!r}"
+    if isinstance(want, dict):
+        assert list(got) == list(want), f"{path}: keys {list(got)} vs {list(want)}"
+        for key in want:
+            assert_summary_close(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), f"{path}: {len(got)} items vs {len(want)}"
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_summary_close(g, w, f"{path}[{i}]")
+    elif isinstance(want, float):
+        assert abs(got - want) <= 1e-9 * abs(want), f"{path}: {got!r} vs {want!r}"
+    else:
+        assert got == want, f"{path}: {got!r} vs {want!r}"
+
+
+def ninth_digit_unit(cell: str) -> Decimal:
+    value = Decimal(cell)
+    return Decimal(0) if value == 0 else Decimal(1).scaleb(value.adjusted() - 8)
+
+
+def test_report_matches_golden(suite):
+    _, verdicts = suite
+    assert format_report(list(verdicts.values())) + "\n" == (GOLDEN / "report.txt").read_text()
+
+
+def test_summaries_match_golden(suite):
+    out_dir, _ = suite
+    golden = sorted(path.name for path in GOLDEN.glob("*.summary.json"))
+    assert sorted(path.name for path in out_dir.glob("*.summary.json")) == golden
+    for name in golden:
+        got = json.loads((out_dir / name).read_text())
+        assert_summary_close(got, json.loads((GOLDEN / name).read_text()), name)
+
+
+def test_csv_samples_match_golden(suite):
+    out_dir, _ = suite
+    golden = json.loads((GOLDEN / "csv_samples.json").read_text())
+    assert sorted(path.stem for path in out_dir.glob("*.csv")) == sorted(golden)
+    for name, want in golden.items():
+        header, *rows = (out_dir / f"{name}.csv").read_text().splitlines()
+        assert header == want["header"], name
+        assert len(rows) == want["rows"], name
+        every = want["every"]
+        for i, (row, expected) in enumerate(zip(rows[::every], want["sampled"])):
+            cells, expected_cells = row.split(","), expected.split(",")
+            assert len(cells) == len(expected_cells), f"{name} row {every * i}"
+            for col, (cell, ref) in enumerate(zip(cells, expected_cells)):
+                # within one unit of the 9th significant digit of either side
+                unit = max(ninth_digit_unit(cell), ninth_digit_unit(ref))
+                assert abs(Decimal(cell) - Decimal(ref)) <= unit, f"{name} row {every * i} col {col}: {cell} vs {ref}"
 
 
 # ---------------------------------------------------------------------

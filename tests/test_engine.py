@@ -459,6 +459,59 @@ def test_edge_cases_match_step_by_step_reference(case, integrator):
     assert np.any(wave.phases != GateState.REST.value)
 
 
+# ---------------------------------------------------------------------
+# the modal system alone
+# ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("integrator", BOTH_INTEGRATORS)
+def test_passive_segment_is_one_mode_decaying_by_the_scheme_ratio(integrator):
+    # one capacitive node, whose reduced conductance is its leak: lam = 1/tau,
+    # tau = r_loss * c_shunt = 1/300 s (the areas cancel)
+    topology, h, lam = build_chain(1, passive_spec()), 1e-6, 300.0
+    system = engine._modal_system(topology, PARAMS, h, integrator, 1000)
+    caps = node_capacitances(topology, PARAMS)
+    assert [topology.node_ids[c] for c in system.cnodes] == [n for n in topology.node_ids if caps[n] > 0.0]
+    assert system.lam.shape == (1,)
+    assert abs(system.lam[0] - lam) <= 1e-12 * lam
+    assert abs(1.0 / (R_LOSS * C_SHUNT) - lam) <= 1e-12 * lam
+
+    # with no forcing, j steps of the scheme multiply the mode by r^j
+    theta = 0.5 if integrator is Integrator.TRAPEZOIDAL else 1.0
+    r = (1.0 - (1.0 - theta) * h * lam) / (1.0 + theta * h * lam)
+    z = np.array([-2.5])
+    rows = system.advance(z, np.zeros(1), 1000)
+    expected = z[0] * r ** np.arange(1, 1001)
+    assert rows.shape == (1000, 1)
+    assert float(np.abs(rows[:, 0] / expected - 1.0).max()) <= 1e-12
+
+
+@pytest.mark.parametrize("integrator", BOTH_INTEGRATORS)
+def test_zero_conductance_mode_advances_exactly_by_h_j_f(integrator):
+    h = 1e-6
+    system = engine._modal_system(floating_node_chain(), PARAMS, h, integrator, 500)
+    (mode,) = np.flatnonzero(system.lam == 0.0)
+    rng = np.random.default_rng(7)
+    state, forcing = rng.normal(size=(2, len(system.lam)))
+    rows = system.advance(state, forcing, 500)
+    steps = np.arange(1, 501)
+    assert np.array_equal(rows[:, mode], state[mode] + (h * steps) * forcing[mode])
+
+
+@pytest.mark.parametrize("integrator", BOTH_INTEGRATORS)
+def test_initial_modal_state_maps_back_to_the_capacitive_voltages(integrator):
+    topology = rail_feeding_two_branches()
+    system = engine._modal_system(topology, PARAMS, 1e-6, integrator, 100)
+    u = np.array([0.0, -5.0, 12.0, 3.0, -1.0])
+    state, step_1_extra = system.start(u, np.zeros(len(u)))
+    node_mv = state @ system.back
+    assert float(np.abs(node_mv[system.cnodes] - u[system.cnodes]).max()) < 1e-12
+    # an unstimulated rail sits at the mean of its two equal neighbours, not at
+    # the given 0; the trapezoidal step 1 takes that miss as extra forcing
+    assert abs(node_mv[0] - (u[1] + u[3]) / 2.0) < 1e-12
+    assert (step_1_extra is None) == (integrator is Integrator.BACKWARD_EULER)
+
+
 @pytest.mark.parametrize("name", ["fig7_chain", "fig11_or"])
 def test_one_step_blocks_give_the_same_run(monkeypatch, name):
     run = scenario_run(name)
@@ -472,7 +525,8 @@ def test_one_step_blocks_give_the_same_run(monkeypatch, name):
 
 @st.composite
 def small_runs(draw):
-    """A chain or junction of 1-8 segments, 1-3 stimuli, either integrator."""
+    """A chain or junction of 1-8 segments, 1-3 stimuli, either integrator,
+    and half the time a starting voltage at one node (rail A included)."""
     if draw(st.booleans()):
         topology = build_chain(draw(st.integers(1, 8)))
     else:
@@ -495,7 +549,11 @@ def small_runs(draw):
         record_stride=draw(st.integers(1, 3)),
         integrator=draw(st.sampled_from(BOTH_INTEGRATORS)),
     )
-    return topology, stimuli, config, PARAMS
+    initial_mv = None
+    if draw(st.booleans()):
+        node = draw(st.sampled_from(("A",) + topology.node_ids))
+        initial_mv = {node: draw(st.floats(-100.0, 60.0))}
+    return topology, stimuli, config, PARAMS, initial_mv
 
 
 # a reference run of 2 ms costs about 55 ms; 150 drawn runs take about 2 s
