@@ -282,7 +282,7 @@ def _stimulus_schedule(topology: Topology, index: dict, stimuli, h: float, n_ste
         try:
             node = topology.resolve(stim.node)
         except KeyError as exc:
-            raise TopologyError(f"stimulus at unknown node: {exc}") from exc
+            raise TopologyError(f"stimulus at unknown node: {exc.args[0]}") from exc
         t0, t1 = stim.t_start, stim.t_start + stim.duration
         if not t0 < t1:  # empty or NaN: never on
             continue
@@ -354,7 +354,7 @@ def simulate(
             try:
                 col = system.index[topology.resolve(node)]
             except KeyError as exc:
-                raise TopologyError(f"initial voltage at unknown node: {exc}") from exc
+                raise TopologyError(f"initial voltage at unknown node: {exc.args[0]}") from exc
             if not math.isfinite(mv):
                 raise InvalidSpecError(f"initial voltage at {node!r} must be finite, got {mv}")
             u[col] = mv - rest

@@ -121,8 +121,19 @@ def _check_size(kind: str, n_nodes: int) -> None:
         raise InvalidSpecError(f"{kind} would have {n_nodes} nodes, more than {_MAX_NODES}")
 
 
-def _label_nodes(node_ids: list[NodeId]) -> dict[str, NodeId]:
-    return {f"v({k})": k for k in node_ids}
+def _path(nodes: range | list[NodeId], specs: list[SegmentSpec]) -> list[Segment]:
+    """Segments joining consecutive ``nodes`` tail -> head, one spec each."""
+    return [Segment(t, h, s) for t, h, s in zip(nodes[:-1], nodes[1:], specs, strict=True)]
+
+
+def _net(
+    paths: list[list[Segment]], labels: dict[str, NodeId], extra_c: dict[NodeId, float]
+) -> Topology:
+    """Topology of ``paths``: nodes once each in path order, "v(k)" labels plus ``labels``."""
+    segments = tuple(seg for path in paths for seg in path)
+    nodes = tuple(dict.fromkeys(node for seg in segments for node in (seg.tail, seg.head)))
+    named = {f"v({k})": k for k in nodes} | labels
+    return Topology(node_ids=nodes, segments=segments, labels=named, extra_c=extra_c)
 
 
 def build_chain(
@@ -141,13 +152,9 @@ def build_chain(
     if not 0.0 <= terminal_extra_c < math.inf:
         raise InvalidSpecError(f"terminal_extra_c must be finite and >= 0, got {terminal_extra_c}")
     _check_size("chain", n_segments + 1)
-    nodes = list(range(1, n_segments + 2))
-    segments = tuple(Segment(tail=k, head=k + 1, spec=spec) for k in range(1, n_segments + 1))
-    labels = _label_nodes(nodes)
-    labels["A"] = 1
-    labels["Z"] = n_segments + 1
-    extra = {n_segments + 1: terminal_extra_c} if terminal_extra_c > 0.0 else {}
-    return Topology(node_ids=tuple(nodes), segments=segments, labels=labels, extra_c=extra)
+    z = n_segments + 1
+    extra = {z: terminal_extra_c} if terminal_extra_c > 0.0 else {}
+    return _net([_path(range(1, z + 1), [spec] * n_segments)], {"A": 1, "Z": z}, extra)
 
 
 def build_junction(
@@ -179,29 +186,21 @@ def build_junction(
     if junction_c_scale <= 0.0:
         raise InvalidSpecError(f"junction_c_scale must be positive, got {junction_c_scale}")
     _check_size("junction", 2 * branch_len + trunk_len + 1)
+    return _junction(branch_len, [spec] * trunk_len, spec, junction_c_scale)
 
+
+def _junction(
+    branch_len: int, trunk_specs: list[SegmentSpec], spec: SegmentSpec, c_scale: float
+) -> Topology:
+    """Branch A plus the trunk as one path, and branch B ending at the junction."""
     junction = branch_len + 1
-    z = branch_len + trunk_len + 1
+    z = branch_len + len(trunk_specs) + 1
     b_base = max(20, z)  # keep branch B ids clear of the chain ids
-    nodes = list(range(1, z + 1)) + list(range(b_base + 1, b_base + branch_len + 1))
-    end_spec = replace(spec, c_scale=spec.c_scale * junction_c_scale)
-
-    segments: list[Segment] = []
-    for k in range(1, branch_len + 1):  # branch A
-        segments.append(Segment(tail=k, head=k + 1, spec=end_spec if k == branch_len else spec))
-    for k in range(junction, z):  # trunk
-        segments.append(Segment(tail=k, head=k + 1, spec=spec))
-    for i in range(1, branch_len + 1):  # branch B, ending at the junction
-        tail = b_base + i
-        head = junction if i == branch_len else b_base + i + 1
-        segments.append(Segment(tail=tail, head=head, spec=end_spec if i == branch_len else spec))
-
-    labels = _label_nodes(nodes)
-    labels["A"] = 1
-    labels["B"] = b_base + 1
-    labels["J"] = junction
-    labels["Z"] = z
-    return Topology(node_ids=tuple(nodes), segments=tuple(segments), labels=labels)
+    end_spec = replace(spec, c_scale=spec.c_scale * c_scale)
+    branch_specs = [spec] * (branch_len - 1) + [end_spec]
+    a_and_trunk = _path(range(1, z + 1), branch_specs + trunk_specs)
+    branch_b = _path([*range(b_base + 1, b_base + branch_len + 1), junction], branch_specs)
+    return _net([a_and_trunk, branch_b], {"A": 1, "B": b_base + 1, "J": junction, "Z": z}, {})
 
 
 def build_and_gate(spec: SegmentSpec = SegmentSpec()) -> Topology:
@@ -212,15 +211,7 @@ def build_and_gate(spec: SegmentSpec = SegmentSpec()) -> Topology:
     passive gap loads the junction enough that a lone pulse cannot lift
     the trunk past threshold, while two coincident pulses can.
     """
-    topo = build_junction(5, 5, spec, 1.0)
-    junction = topo.labels["J"]
-    gate_spec = replace(spec, length=0.05, active=False)
-    segments = list(topo.segments)
-    for i, seg in enumerate(segments):
-        if seg.tail == junction:
-            segments[i] = Segment(tail=seg.tail, head=seg.head, spec=gate_spec)
-            break
-    return replace(topo, segments=tuple(segments))
+    return _junction(5, [replace(spec, length=0.05, active=False)] + [spec] * 4, spec, 1.0)
 
 
 def build_taper(
@@ -239,12 +230,7 @@ def build_taper(
     if d_start <= 0.0 or d_end <= 0.0:
         raise InvalidSpecError(f"taper diameters must be positive, got {d_start}, {d_end}")
     _check_size("taper", n_segments + 1)
-    nodes = list(range(1, n_segments + 2))
-    segments = []
-    for k in range(1, n_segments + 1):
-        d = d_start + (d_end - d_start) * (k - 0.5) / n_segments
-        segments.append(Segment(tail=k, head=k + 1, spec=replace(spec, diameter=d)))
-    labels = _label_nodes(nodes)
-    labels["A"] = 1
-    labels["Z"] = n_segments + 1
-    return Topology(node_ids=tuple(nodes), segments=tuple(segments), labels=labels)
+    z = n_segments + 1
+    diameters = [d_start + (d_end - d_start) * (k - 0.5) / n_segments for k in range(1, z)]
+    specs = [replace(spec, diameter=d) for d in diameters]
+    return _net([_path(range(1, z + 1), specs)], {"A": 1, "Z": z}, {})

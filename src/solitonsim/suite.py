@@ -27,6 +27,7 @@ from .network import build_chain
 from .scenario import (
     Scenario,
     ScenarioRun,
+    _check_out_dir,
     bundled_scenario_names,
     evaluate_scenario,
     load_bundled_scenario,
@@ -253,10 +254,11 @@ def run_paper_suite(out_dir: str | Path = ".") -> list[CriterionResult]:
     """Run every bundled scenario plus controls; return all nine verdicts.
 
     Artifacts (scenario CSVs and summaries, window sweep CSVs) are
-    written into ``out_dir``.
+    written into ``out_dir``.  An unusable ``out_dir`` raises its OSError
+    before any run.
     """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    _check_out_dir(out)
 
     runs: dict[str, ScenarioRun] = {}
     for scenario_name in bundled_scenario_names():

@@ -16,11 +16,13 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
+import numpy as np
+
 from .analysis import detect_pulses, logic_output, truth_table
 from .engine import Waveform, refine_check, simulate
 from .errors import ScenarioError
 from .network import Topology
-from .scenario import Scenario, _check_out_dir, analysis_entry, build_topology
+from .scenario import Scenario, _check_out_dir, _csv_rows, analysis_entry, build_topology
 
 
 @dataclass(frozen=True)
@@ -213,8 +215,6 @@ def run_sweep(
     if out_path is not None:
         path = Path(out_path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("w", encoding="utf-8", newline="\n") as fh:
-            fh.write(f"{param},{metric}\n")
-            for point in points:
-                fh.write("%.9g,%.9g\n" % (point.value, point.metric))
+        table = np.array([(p.value, p.metric) for p in points], dtype=float).reshape(-1, 2)
+        path.write_bytes(f"{param},{metric}\n".encode() + _csv_rows(table))
     return points

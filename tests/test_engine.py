@@ -262,16 +262,23 @@ def test_non_finite_stimulus_raises_instability_with_step_index():
         assert err.value.step == step
 
 
+# the same text truth_table gives: the KeyError's message, without its quotes
+_UNKNOWN_NODE = {"nope": "unknown node label 'nope'", 99: "unknown node id 99"}
+
+
 def test_stimulus_at_unknown_node_is_rejected():
-    stim = Stimulus(node=99, amplitude=10e-9, t_start=0.0, duration=1e-3)
-    with pytest.raises(TopologyError):
-        simulate(build_chain(2), [stim], SimConfig(t_end=1e-3))
+    for node, text in _UNKNOWN_NODE.items():
+        stim = Stimulus(node=node, amplitude=10e-9, t_start=0.0, duration=1e-3)
+        with pytest.raises(TopologyError) as caught:
+            simulate(build_chain(2), [stim], SimConfig(t_end=1e-3))
+        assert str(caught.value) == f"stimulus at unknown node: {text}"
 
 
 @pytest.mark.parametrize("node", ["nope", 99])
 def test_initial_voltage_at_unknown_node_is_rejected(node):
-    with pytest.raises(TopologyError):
+    with pytest.raises(TopologyError) as caught:
         simulate(build_chain(2), (), SimConfig(t_end=1e-3), initial_mv={node: 0.0})
+    assert str(caught.value) == f"initial voltage at unknown node: {_UNKNOWN_NODE[node]}"
 
 
 @pytest.mark.parametrize("mv", [math.nan, math.inf, -math.inf])

@@ -103,6 +103,37 @@ def test_junction_scale_touches_only_the_branch_end_segments():
             assert ts.spec == ps.spec
 
 
+@pytest.mark.parametrize(
+    "branch_len, trunk_len, scale, node_ids, wiring",
+    [
+        # each branch is only its end segment
+        (1, 1, 1.0, (1, 2, 3, 21), [(1, 2, 1.0), (2, 3, 1.0), (21, 2, 1.0)]),
+        (
+            2,
+            3,
+            0.5,
+            (1, 2, 3, 4, 5, 6, 21, 22),
+            [
+                (1, 2, 1.0),
+                (2, 3, 0.5),
+                (3, 4, 1.0),
+                (4, 5, 1.0),
+                (5, 6, 1.0),
+                (21, 22, 1.0),
+                (22, 3, 0.5),
+            ],
+        ),
+    ],
+)
+def test_junction_wiring(branch_len, trunk_len, scale, node_ids, wiring):
+    topo = build_junction(branch_len, trunk_len, junction_c_scale=scale)
+    assert topo.node_ids == node_ids
+    assert [(seg.tail, seg.head, seg.spec.c_scale) for seg in topo.segments] == wiring
+    junction, z = branch_len + 1, branch_len + trunk_len + 1
+    named = {"A": 1, "B": 21, "J": junction, "Z": z}
+    assert list(topo.labels.items()) == [(f"v({k})", k) for k in node_ids] + list(named.items())
+
+
 # ---------------------------------------------------------------------
 # AND gate
 # ---------------------------------------------------------------------
@@ -123,6 +154,18 @@ def test_and_gate_differs_from_plain_junction_only_in_first_trunk_segment():
     assert gs.spec.length == 0.05
     assert gs.spec.active is False
     assert gs.spec.diameter == js.spec.diameter
+
+
+def test_and_gate_keeps_a_template_spec_outside_its_gap():
+    spec = SegmentSpec(length=0.2, c_scale=0.9)
+    junction = build_junction(5, 5, spec)
+    gate = build_and_gate(spec)
+    assert gate.node_ids == junction.node_ids
+    assert list(gate.labels.items()) == list(junction.labels.items())
+    diffs = [(gs.tail, gs.head) for js, gs in zip(junction.segments, gate.segments) if js != gs]
+    assert diffs == [(6, 7)]
+    assert len(gate.segments) == len(junction.segments)
+    assert gate.segments[5].spec == SegmentSpec(length=0.05, c_scale=0.9, active=False)
 
 
 # ---------------------------------------------------------------------

@@ -696,6 +696,16 @@ def test_cli_run_refuses_a_read_only_out_dir_before_simulating(tmp_path, capsys,
     assert not (tmp_path / "x").exists()
 
 
+def test_cli_paper_suite_refuses_a_read_only_out_dir_before_simulating(
+    tmp_path, capsys, monkeypatch
+):
+    monkeypatch.setattr(scenario_module, "simulate", no_runs)
+    monkeypatch.setattr(scenario_module.os, "access", lambda *_args: False)
+    assert main(["paper-suite", "--out-dir", str(tmp_path / "x")]) == 2
+    assert "Permission denied" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_cli_maps_any_solitonsim_error_to_exit_2(tmp_path, capsys, monkeypatch):
     def fail(*_args):
         raise NotApplicableError("no pulse at 'Z'")

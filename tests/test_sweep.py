@@ -199,6 +199,25 @@ def test_dispersion_metric_nan_when_pulse_missing():
     assert math.isnan(value)
 
 
+def test_sweep_csv_is_the_per_point_template(tmp_path):
+    # amplitudes across decades, all below launch, so every metric is NaN
+    doc = chain_doc()
+    doc["builder"]["n_segments"] = 2
+    doc["probes"] = ["v(2)", "v(3)"]
+    doc["analysis"] = {"dispersion": {"early": "v(2)", "late": "v(3)"}}
+    scenario = parse_scenario(doc)
+    out = tmp_path / "sweep.csv"
+    amplitudes = [1e-15, 2.5e-13, 1.23456789e-11, 1e-9]
+    points = run_sweep(scenario, "amplitude", amplitudes, "dispersion", out)
+    assert all(math.isnan(p.metric) for p in points)
+    rows = "".join("%.9g,%.9g\n" % (p.value, p.metric) for p in points)
+    assert out.read_bytes() == ("amplitude,dispersion\n" + rows).encode()
+
+    empty = tmp_path / "empty.csv"
+    assert run_sweep(scenario, "amplitude", [], "dispersion", empty) == []
+    assert empty.read_bytes() == b"amplitude,dispersion\n"
+
+
 # =====================================================================
 # Pinned regression: junction loading boundary
 # =====================================================================
