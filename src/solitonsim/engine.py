@@ -93,7 +93,8 @@ class Waveform:
         node_ids: column order of voltages_mv.
         phases: gate phase codes (GateState values), shape
             (n_samples, n_segments); columns follow the topology's segment
-            order.
+            order.  Row r holds the phases after step r * record_stride, so
+            a transition at step k shows from row ceil(k / record_stride) on.
         labels: human name -> node id, copied from the topology.
         rest_mv: resting potential the run started from, millivolts.
     """
@@ -367,9 +368,8 @@ def simulate(
     n_samples = n_steps // stride + 1
     times = np.arange(n_samples) * stride * h
     voltages = np.empty((n_samples, n))
-    phases = np.empty((n_samples, n_segments), dtype=np.uint8)
+    phases = np.zeros((n_samples, n_segments), dtype=np.uint8)  # every gate starts at REST
     voltages[0] = u + rest
-    phases[0] = states
 
     modal_state, step_1_extra = system.start(u, stim_vector(0))
     offset = np.full(n, rest)  # rest plus the rail voltages G_rr^-1 b_r of the current span
@@ -408,7 +408,6 @@ def simulate(
         first_row = -(-first // stride)
         rows = block[first_row * stride - first : n_take : stride]
         voltages[first_row : first_row + len(rows)] = rows
-        phases[first_row : first_row + len(rows)] = states
 
         if stop[cut]:
             # a transition at the cut step k ends the span: the next block rebuilds the forcing
@@ -418,9 +417,8 @@ def simulate(
                 new = step_gate(old, v_prev[s], head_mv[cut, s], params)
                 if new is not old:
                     states[s] = new
+                    phases[-(-k // stride) :, s] = new  # rows from ceil(k / stride) on
                     span_end = k
-            if k % stride == 0:
-                phases[k // stride] = states
 
         modal_state = modal[n_take - 1]
         head_prev = head_mv[n_take - 1]

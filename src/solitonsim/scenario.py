@@ -194,6 +194,21 @@ def _fail(path: str, message: str) -> ScenarioError:
     return ScenarioError(f"{path}: {message}")
 
 
+# Characters of a repr an error message quotes at most
+_SHOWN_CHARS = 60
+
+
+def _show(value: Any) -> str:
+    """An offending value as a message quotes it: a list or mapping by its
+    type and length, anything else by its repr cut to _SHOWN_CHARS.  A
+    nested repr can be exponentially long (each alias repeats its anchor's
+    value) or deep enough to exhaust the recursion limit."""
+    if isinstance(value, (list, Mapping)):
+        return f"a {type(value).__name__} of length {len(value)}"
+    text = repr(value)
+    return text if len(text) <= _SHOWN_CHARS else text[: _SHOWN_CHARS - 3] + "..."
+
+
 # plain field type -> (accepted Python types, what the document must hold);
 # bool is an int to Python but never a number here, and "" is never a label
 _ACCEPTS = {
@@ -213,10 +228,10 @@ def _read_value(value: Any, typ: Any, path: str) -> Any:
         accepted, what = _ACCEPTS[typ]
         bool_as_number = typ is not bool and isinstance(value, bool)
         if not isinstance(value, accepted) or bool_as_number or value == "":
-            raise _fail(path, f"expected {what}, got {value!r}")
+            raise _fail(path, f"expected {what}, got {_show(value)}")
         if typ is float:
             if not abs(value) <= sys.float_info.max:  # NaN, inf, or an int beyond float range
-                raise _fail(path, f"expected a finite number, got {value!r}")
+                raise _fail(path, f"expected a finite number, got {_show(value)}")
             return float(value)
         return value
     if typ in _SECTIONS:
@@ -230,7 +245,7 @@ def _read_value(value: Any, typ: Any, path: str) -> Any:
         return tuple(_read_value(item, str, f"{path}[{i}]") for i, item in enumerate(value))
     choices = [member.value for member in typ]  # the one field type left is an Enum
     if value not in choices:
-        raise _fail(path, f"expected one of {', '.join(choices)}, got {value!r}")
+        raise _fail(path, f"expected one of {', '.join(choices)}, got {_show(value)}")
     return typ(value)
 
 
@@ -328,9 +343,24 @@ def load_scenario(path: str | Path) -> Scenario:
 # and error classes as yaml.SafeLoader, about ten times faster
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
+# Lists and mappings a document may nest, one inside the other.  A scenario
+# nests 4 (the document, analysis, truth_table, inputs).  Loading recurses
+# once per level, in C (libyaml's composer crashes the process near 30,000)
+# and in the reader above, so deeper documents are refused first, from the
+# event stream, which yaml.parse yields without recursing.
+_MAX_DEPTH = 64
+
 
 def _parse_bytes(raw: bytes, source: str) -> Scenario:
     try:
+        depth = 0
+        for event in yaml.parse(raw, Loader=_YAML_LOADER):
+            if isinstance(event, yaml.CollectionStartEvent):
+                depth += 1
+                if depth > _MAX_DEPTH:
+                    raise ScenarioError(f"{source}: lists and mappings nest deeper than {_MAX_DEPTH}")
+            elif isinstance(event, yaml.CollectionEndEvent):
+                depth -= 1
         document = yaml.load(raw, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ScenarioError(f"{source}: not valid YAML: {exc}") from exc
@@ -425,7 +455,7 @@ _DIGITS = _digit_words()
 # A cell's bin counts the bounds |x| reaches: bins 1-4 are the decades
 # [1e-4, 1e-3) .. [0.1, 1), of exponent e = bin - 5.  Each bound's double
 # lies above 10^-k and the next double down below it, so the bin is exact.
-_DECADE_BOUNDS = (1e-4, 1e-3, 1e-2, 1e-1, 1.0)
+_DECADE_BOUNDS = np.array([1e-4, 1e-3, 1e-2, 1e-1, 1.0])
 # bin -> 10^(8-e) (exact doubles), which scales |x| to 9 integer digits; 0
 # outside the fast decades, so those cells fail the q >= 1e8 test
 _DECADE_SCALE = np.array([0.0, 1e12, 1e11, 1e10, 1e9, 0.0])
@@ -460,14 +490,14 @@ def _csv_rows(table: np.ndarray) -> bytes:
     characters, into the first four words.
     """
     a = np.abs(table)
-    bins = np.zeros(table.shape, np.uint8)
-    for bound in _DECADE_BOUNDS:
-        bins += a >= bound
+    bins = np.searchsorted(_DECADE_BOUNDS, a, side="right")  # NaN sorts last, into bin 5
     with np.errstate(invalid="ignore"):  # inf * 0 and nan casts: fallback cells
         p = a * _DECADE_SCALE[bins]
         q = np.rint(p)
         fast = (np.abs(p - q) < 0.5 - 1e-6) & (q >= 1e8) & (q < 1e9)
         q = q.astype(np.uint32)
+    # floor division by a scalar is a SIMD pass; np.divmod and % on uint32 run
+    # about 14x slower per cell (numpy 2.4), so the remainders are subtracted
     high = q // np.uint32(10_000)
     low = q - high * np.uint32(10_000)
     first = high // np.uint32(10_000)

@@ -9,7 +9,9 @@ Runs ``run_paper_suite`` once into a fresh temporary directory and keeps:
 * every ``*.summary.json`` as written;
 * ``csv_samples.json``: per CSV, its header, its data row count and every
   ``SAMPLE_EVERY``-th data row (rows 0, 50, 100, ...) as text, with that
-  interval.
+  interval;
+* ``gate_counts.json``: how often the run consulted ``engine.step_gate``
+  and how many of those consultations changed a phase.
 
 ``tests/test_acceptance.py`` compares a suite run with these files.  A
 change that regenerates them must say why.
@@ -22,6 +24,9 @@ import shutil
 import tempfile
 from pathlib import Path
 
+import pytest
+
+from solitonsim import engine
 from solitonsim.suite import format_report, run_paper_suite
 
 GOLDEN = Path(__file__).resolve().parent
@@ -33,10 +38,28 @@ def csv_sample(path: Path) -> dict:
     return {"header": header, "rows": len(rows), "every": SAMPLE_EVERY, "sampled": rows[::SAMPLE_EVERY]}
 
 
+def counted_suite(out: Path):
+    """Run the suite into ``out``; return its results and its gate consultation counts."""
+    real = engine.step_gate
+    counts = {"step_gate_calls": 0, "phase_changes": 0}
+
+    def counting(old, *args):
+        new = real(old, *args)
+        counts["step_gate_calls"] += 1
+        counts["phase_changes"] += int(new is not old)
+        return new
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "step_gate", counting)
+        results = run_paper_suite(out)
+    return results, counts
+
+
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
-        report = format_report(run_paper_suite(out))
+        results, gate_counts = counted_suite(out)
+        report = format_report(results)
         for old in GOLDEN.glob("*.summary.json"):
             old.unlink()
         for summary in sorted(out.glob("*.summary.json")):
@@ -44,6 +67,7 @@ def main() -> None:
         samples = {path.stem: csv_sample(path) for path in sorted(out.glob("*.csv"))}
     (GOLDEN / "report.txt").write_text(report + "\n")
     (GOLDEN / "csv_samples.json").write_text(json.dumps(samples, indent=1) + "\n")
+    (GOLDEN / "gate_counts.json").write_text(json.dumps(gate_counts, indent=1) + "\n")
 
 
 if __name__ == "__main__":

@@ -16,8 +16,10 @@ import json
 from dataclasses import replace
 from decimal import Decimal
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
+from golden.make_golden import counted_suite
 
 from solitonsim import suite as suite_module
 from solitonsim.scenario import ScenarioRun, load_bundled_scenario
@@ -28,7 +30,6 @@ from solitonsim.suite import (
     criterion_6_truth_tables,
     criterion_8_taper_asymmetry,
     format_report,
-    run_paper_suite,
 )
 from solitonsim.sweep import SweepPoint
 
@@ -45,22 +46,27 @@ CRITERIA = [
 ]
 
 
+class SuitePass(NamedTuple):
+    out_dir: Path
+    verdicts: dict[str, CriterionResult]
+    gate_counts: dict[str, int]  # engine.step_gate calls and the phase changes they returned
+
+
 @pytest.fixture(scope="module")
 def suite(tmp_path_factory):
     out_dir = tmp_path_factory.mktemp("suite_artifacts")
-    results = run_paper_suite(out_dir)
+    results, gate_counts = counted_suite(out_dir)
     print()
     print(format_report(results))
-    return out_dir, {r.name: r for r in results}
+    return SuitePass(out_dir, {r.name: r for r in results}, gate_counts)
 
 
 def test_suite_covers_every_criterion(suite):
-    _, verdicts = suite
-    assert sorted(verdicts) == sorted(CRITERIA)
+    assert sorted(suite.verdicts) == sorted(CRITERIA)
 
 
 def test_suite_writes_all_artifacts(suite):
-    out_dir, _ = suite
+    out_dir = suite.out_dir
     for name in (
         "fig1_patch",
         "fig7_chain",
@@ -80,8 +86,7 @@ def test_suite_writes_all_artifacts(suite):
 
 @pytest.mark.parametrize("name", CRITERIA)
 def test_criterion(suite, name):
-    _, verdicts = suite
-    result = verdicts[name]
+    result = suite.verdicts[name]
     line = format_report([result])
     print(line)
     assert result.passed, line
@@ -117,12 +122,17 @@ def ninth_digit_unit(cell: str) -> Decimal:
 
 
 def test_report_matches_golden(suite):
-    _, verdicts = suite
-    assert format_report(list(verdicts.values())) + "\n" == (GOLDEN / "report.txt").read_text()
+    assert format_report(list(suite.verdicts.values())) + "\n" == (GOLDEN / "report.txt").read_text()
+
+
+def test_gate_consultations_match_golden(suite):
+    # step_gate is consulted only where a head leaves its stay window, so a
+    # loop that screens or locates events differently moves these counts
+    assert suite.gate_counts == json.loads((GOLDEN / "gate_counts.json").read_text())
 
 
 def test_summaries_match_golden(suite):
-    out_dir, _ = suite
+    out_dir = suite.out_dir
     golden = sorted(path.name for path in GOLDEN.glob("*.summary.json"))
     assert sorted(path.name for path in out_dir.glob("*.summary.json")) == golden
     for name in golden:
@@ -131,7 +141,7 @@ def test_summaries_match_golden(suite):
 
 
 def test_csv_samples_match_golden(suite):
-    out_dir, _ = suite
+    out_dir = suite.out_dir
     golden = json.loads((GOLDEN / "csv_samples.json").read_text())
     assert sorted(path.stem for path in out_dir.glob("*.csv")) == sorted(golden)
     for name, want in golden.items():

@@ -8,6 +8,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -322,6 +324,56 @@ def test_load_scenario_rejects_non_yaml(tmp_path):
 def test_load_scenario_missing_file(tmp_path):
     with pytest.raises(ScenarioError, match="not readable"):
         load_scenario(tmp_path / "absent.yaml")
+
+
+HOSTILE_HEAD = "name: hostile\nbuilder: {kind: chain, n_segments: 2}\n"
+
+
+def nested_probes(depth):
+    """A scenario whose probes value is a list nested ``depth`` deep."""
+    return HOSTILE_HEAD + "probes: " + "[" * depth + "]" * depth + "\n"
+
+
+def alias_chain(levels):
+    """Anchored lists of ten, each anchor's items the previous anchor: the
+    last one holds 10**levels scalars through a document of a few hundred bytes."""
+    lists = ["&a0 [" + ", ".join(["x"] * 10) + "]"]
+    lists += [f"&a{i} [" + ", ".join([f"*a{i - 1}"] * 10) + "]" for i in range(1, levels)]
+    return HOSTILE_HEAD + "probes: [[" + ", ".join(lists) + "]]\n"
+
+
+def test_load_scenario_bounds_the_nesting_depth(tmp_path):
+    path = tmp_path / "deep.yaml"
+    bound = scenario_module._MAX_DEPTH
+    path.write_text(nested_probes(bound - 1))  # the document mapping is one more level
+    with pytest.raises(ScenarioError, match=re.escape("probes[0]: expected a non-empty string")):
+        load_scenario(path)
+    path.write_text(nested_probes(bound))
+    with pytest.raises(ScenarioError, match=f"nest deeper than {bound}$"):
+        load_scenario(path)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param(nested_probes(1_000), id="nested_1000"),  # past Python's recursion limit
+        pytest.param(nested_probes(30_000), id="nested_30000"),  # past libyaml's C stack
+        pytest.param(alias_chain(6), id="alias_chain_6"),  # a million scalars to quote
+    ],
+)
+def test_cli_refuses_a_hostile_document_with_exit_2(tmp_path, text):
+    # a fresh interpreter: a crash or a runaway message must not take the test run with it
+    path = tmp_path / "hostile.yaml"
+    path.write_text(text)
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run(
+        [sys.executable, "-m", "solitonsim.cli", "run", str(path), "--out-dir", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    message = done.stderr.replace(str(path), "<path>")
+    assert done.returncode == 2, message[:1000]
+    assert message.startswith("error: <path>: ") and "Traceback" not in message
+    assert len(message) < 200, message[:1000]
 
 
 # =====================================================================
