@@ -2,9 +2,9 @@
 
 A "pulse" is a maximal interval where a node's voltage sits above the
 detection threshold (default -20 mV, far above rest and far below peak, so
-the classification is insensitive to the exact value).  Crossing times are
-linearly interpolated between samples; widths are measured at half height
-between the recorded peak and the resting level.
+the classification is insensitive to the exact value).  The onset and both
+edges at half height (midway from rest to the recorded peak) are interpolated
+linearly between the samples around each crossing; they clamp to the record's ends.
 """
 
 from __future__ import annotations
@@ -44,9 +44,13 @@ class PulseEvent:
     fwhm: float
 
 
-def _interp_crossing(t0: float, t1: float, v0: float, v1: float, level: float) -> float:
-    # v0 and v1 straddle the level; v1 != v0 by construction.
-    return t0 + (level - v0) / (v1 - v0) * (t1 - t0)
+def _crossing(t: np.ndarray, v: np.ndarray, i: int, level: float) -> float:
+    """Time ``v`` crosses ``level``, linear between samples i - 1 and i; i = 0 or len(v) clamps."""
+    if i == 0:
+        return float(t[0])
+    if i == len(v):
+        return float(t[-1])
+    return float(t[i - 1] + (level - v[i - 1]) / (v[i] - v[i - 1]) * (t[i] - t[i - 1]))
 
 
 def detect_pulses(
@@ -67,8 +71,8 @@ def detect_pulses(
         end of the record is still reported, with its width measured to
         the last sample.
     """
-    node_id = waveform.node_ids[waveform.column(node)]
-    v = waveform.voltage(node)
+    col = waveform.column(node)
+    v = waveform.voltages_mv[:, col]
     t = waveform.times
     above = np.flatnonzero(v > threshold_mv)
     if len(above) == 0:
@@ -81,29 +85,19 @@ def detect_pulses(
         i0, i1 = int(run[0]), int(run[-1])
         peak = i0 + int(np.argmax(v[i0 : i1 + 1]))
         v_peak = float(v[peak])
-        if i0 == 0:
-            t_onset = float(t[0])
-        else:
-            t_onset = _interp_crossing(t[i0 - 1], t[i0], v[i0 - 1], v[i0], threshold_mv)
-
-        # the samples next to the peak that stay above half height
+        # left: one past the last sample at or below half before the peak; right: the first after
         half = 0.5 * (v_peak + waveform.rest_mv)
         below = np.flatnonzero(v[:peak] <= half)
-        j = int(below[-1]) + 1 if len(below) else 0
-        t_left = float(t[0]) if j == 0 else _interp_crossing(t[j - 1], t[j], v[j - 1], v[j], half)
+        left = int(below[-1]) + 1 if len(below) else 0
         below = np.flatnonzero(v[peak + 1 :] <= half)
-        last = len(v) - 1
-        j = peak + int(below[0]) if len(below) else last
-        t_right = float(t[last]) if j == last else _interp_crossing(
-            t[j], t[j + 1], v[j], v[j + 1], half
-        )
+        right = peak + 1 + int(below[0]) if len(below) else len(v)
         events.append(
             PulseEvent(
-                node=node_id,
-                t_onset=float(t_onset),
+                node=waveform.node_ids[col],
+                t_onset=_crossing(t, v, i0, threshold_mv),
                 t_peak=float(t[peak]),
                 v_peak=v_peak,
-                fwhm=float(t_right - t_left),
+                fwhm=_crossing(t, v, right, half) - _crossing(t, v, left, half),
             )
         )
     return events

@@ -24,7 +24,7 @@ import inspect
 import json
 import os
 import sys
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import asdict, dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -533,11 +533,13 @@ def write_waveform_csv(path: Path, waveform: Waveform, probes: tuple[str, ...]) 
             fh.write(_csv_rows(np.column_stack((waveform.times[start:stop], volts))))
 
 
-def _check_out_dir(out_dir: str | Path) -> None:
+def _check_out_dir(out_dir: str | Path, names: Sequence[str] = ()) -> None:
     """Raise the OSError that creating or writing ``out_dir`` would, creating nothing.
 
-    Runs call it before simulating: an unusable directory fails at once,
-    and a run refused later leaves no directory behind.
+    ``names`` are the files the run will write there; one longer than the
+    file system allows raises ENAMETOOLONG.  Runs call it before
+    simulating: an unusable directory fails at once, and a run refused
+    later leaves no directory behind.
     """
     path = Path(out_dir).absolute()
     while not path.exists():
@@ -546,14 +548,21 @@ def _check_out_dir(out_dir: str | Path) -> None:
         raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(path))
     if not os.access(path, os.W_OK | os.X_OK):
         raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+    name_max = os.pathconf(path, "PC_NAME_MAX")
+    for name in names:
+        if len(os.fsencode(name)) > name_max:
+            raise OSError(errno.ENAMETOOLONG, os.strerror(errno.ENAMETOOLONG), name)
+
+
+def _output_names(scenario: Scenario) -> tuple[str, str]:
+    return f"{scenario.name}.csv", f"{scenario.name}.summary.json"
 
 
 def write_outputs(run: ScenarioRun, out_dir: str | Path = ".") -> tuple[Path, Path]:
     """Write a run's CSV and summary files; returns (csv_path, summary_path)."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / f"{run.scenario.name}.csv"
-    summary_path = out / f"{run.scenario.name}.summary.json"
+    csv_path, summary_path = (out / name for name in _output_names(run.scenario))
     write_waveform_csv(csv_path, run.waveform, run.scenario.probes)
     summary_path.write_text(
         json.dumps(run.summary, sort_keys=True, indent=2) + "\n", encoding="utf-8"
@@ -567,5 +576,5 @@ def run_scenario(scenario: Scenario, out_dir: str | Path = ".") -> tuple[Path, P
     Returns:
         (csv_path, summary_path).
     """
-    _check_out_dir(out_dir)
+    _check_out_dir(out_dir, _output_names(scenario))
     return write_outputs(evaluate_scenario(scenario), out_dir)

@@ -200,13 +200,14 @@ def run_sweep(
     Raises ScenarioError before any run for a pair whose metric ignores the
     swept value: ``skew`` with any metric but ``truth_ab``, and
     ``amplitude`` with ``truth_ab``, and OSError before any run for an
-    ``out_path`` whose directory cannot be created or written.
+    ``out_path`` whose directory cannot be created or written, or whose
+    name is longer than the file system allows.
     """
     apply = _lookup(_APPLIERS, "parameter", param)
     _lookup(_METRICS, "metric", metric)
     _check_pair(param, metric)
     if out_path is not None:
-        _check_out_dir(Path(out_path).parent)
+        _check_out_dir(Path(out_path).parent, [Path(out_path).name])
     points = []
     for value in values:
         skew_s = value if param == "skew" else 0.0

@@ -90,8 +90,11 @@ def test_sawtooth_pulse_interpolated_features():
 
 def test_detection_threshold_is_strict_and_configurable():
     wave = make_waveform(range(11), {7: TRIANGLE})
-    # samples equal to the level do not count as above it
+    # samples equal to the level do not count as above it, and a run whose
+    # previous sample sits on the level starts at that sample's time
     assert detect_pulses(wave, 7, threshold_mv=30.0) == []
+    on_level = make_waveform(range(4), {1: [-70.0, -20.0, 30.0, -70.0]})
+    assert [ev.t_onset for ev in detect_pulses(on_level, 1)] == [on_level.times[1]]
     # a raised threshold moves the onset but not the half-height width
     (ev,) = detect_pulses(wave, 7, threshold_mv=0.0)
     assert ev.t_onset == pytest.approx(4.8 * MS, rel=1e-12)
@@ -135,22 +138,28 @@ def test_pulse_starting_at_first_sample_uses_record_start():
     assert ev.t_peak == 0.0
 
 
-def half_height_width_by_loop(wave, node, event):
-    """FWHM found by walking from the peak one sample at a time."""
+def features_by_loop(wave, node, event, threshold):
+    """Onset and FWHM found by walking from the peak one sample at a time."""
     v, t = wave.voltage(node), wave.times
+
+    def between(j, level):  # v[j] and v[j + 1] straddle the level
+        return t[j] + (level - v[j]) / (v[j + 1] - v[j]) * (t[j + 1] - t[j])
+
     peak = int(np.flatnonzero(t == event.t_peak)[0])
+    j = peak
+    while j > 0 and v[j - 1] > threshold:
+        j -= 1
+    t_onset = t[0] if j == 0 else between(j - 1, threshold)
     half = 0.5 * (event.v_peak + wave.rest_mv)
     j = peak
     while j > 0 and v[j - 1] > half:
         j -= 1
-    t_left = t[0] if j == 0 else analysis._interp_crossing(t[j - 1], t[j], v[j - 1], v[j], half)
+    t_left = t[0] if j == 0 else between(j - 1, half)
     j, last = peak, len(v) - 1
     while j < last and v[j + 1] > half:
         j += 1
-    t_right = t[last] if j == last else analysis._interp_crossing(
-        t[j], t[j + 1], v[j], v[j + 1], half
-    )
-    return float(t_right - t_left)
+    t_right = t[last] if j == last else between(j, half)
+    return float(t_onset), float(t_right - t_left)
 
 
 @pytest.mark.parametrize(
@@ -167,13 +176,16 @@ def half_height_width_by_loop(wave, node, event):
         # the low second pulse's half height (-40) lies before the first pulse
         [-70.0, -50.0, 30.0, -30.0, -10.0, -30.0, -70.0],
         TRIANGLE + [-70.0] + TRIANGLE,
+        [-70.0, -20.0, 30.0, -70.0],  # the sample before the run sits on the threshold
     ],
 )
 def test_half_height_search_matches_the_sample_walk(v):
     wave = make_waveform(range(len(v)), {1: v})
-    events = detect_pulses(wave, 1)
+    events = detect_pulses(wave, 1, threshold_mv=-20.0)
     assert events
-    assert [ev.fwhm for ev in events] == [half_height_width_by_loop(wave, 1, ev) for ev in events]
+    assert [(ev.t_onset, ev.fwhm) for ev in events] == [
+        features_by_loop(wave, 1, ev, -20.0) for ev in events
+    ]
 
 
 def test_unknown_node_rejected():

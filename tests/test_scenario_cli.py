@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import errno
 import io
 import json
 import math
@@ -738,6 +739,34 @@ def test_cli_sweep_refuses_an_unusable_out_dir_before_simulating(tmp_path, capsy
     argv += ["--steps", "3", "--metric", "logic", "--out-dir", str(blocker / "x")]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def write_named_yaml(tmp_path, name):
+    """write_base_yaml's document under ``name``, in a file with a short name."""
+    path = tmp_path / "named.yaml"
+    path.write_text(write_base_yaml(tmp_path).read_text().replace("cli_case", name))
+    return path
+
+
+def test_cli_run_refuses_a_name_too_long_before_simulating(tmp_path, capsys, monkeypatch):
+    # the CSV's name fits in 255 bytes, the summary's does not
+    path = write_named_yaml(tmp_path, "n" * 250)
+    before = sorted(tmp_path.rglob("*"))
+    monkeypatch.setattr(scenario_module, "simulate", no_runs)
+    assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    assert os.strerror(errno.ENAMETOOLONG) in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_cli_sweep_refuses_a_name_too_long_before_simulating(tmp_path, capsys, monkeypatch):
+    path = write_named_yaml(tmp_path, "n" * 240)
+    before = sorted(tmp_path.rglob("*"))
+    monkeypatch.setattr(sweep_module, "simulate", no_runs)
+    argv = ["sweep", str(path), "--param", "amplitude", "--from", "1e-9", "--to", "2e-8"]
+    argv += ["--steps", "3", "--metric", "logic", "--out-dir", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert os.strerror(errno.ENAMETOOLONG) in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_cli_run_refuses_a_read_only_out_dir_before_simulating(tmp_path, capsys, monkeypatch):
