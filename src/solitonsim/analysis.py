@@ -179,7 +179,7 @@ def truth_table(
     combinations: Sequence[Sequence[str]] | None = None,
     *,
     amplitude: float = 10e-9,
-    t_start: float = 1e-3,
+    t_start: float = Stimulus.t_start,
     skew: Mapping[str, float] | None = None,
     config: SimConfig = SimConfig(),
     params: MembraneParams | None = None,
@@ -207,34 +207,24 @@ def truth_table(
         TopologyError: an input or output label the topology lacks,
             before any row is simulated.
     """
-    names = list(inputs)
     if combinations is None:
         combinations = [
             combo
-            for size in range(len(names) + 1)
-            for combo in itertools.combinations(names, size)
+            for size in range(len(inputs) + 1)
+            for combo in itertools.combinations(inputs, size)
         ]
     skew = dict(skew or {})
-    try:
-        nodes = {
-            name: topology.resolve(name)
-            for name in dict.fromkeys([*names, *itertools.chain.from_iterable(combinations)])
-        }
-    except KeyError as exc:
-        raise TopologyError(f"truth table input: {exc.args[0]}") from None
-    try:
-        output = topology.resolve(output)
-    except KeyError as exc:
-        raise TopologyError(f"truth table output: {exc.args[0]}") from None
+    roles = dict.fromkeys([*inputs, *itertools.chain.from_iterable(combinations)], "input")
+    for label, role in [*roles.items(), (output, "output")]:
+        try:
+            topology.resolve(label)
+        except KeyError as exc:
+            raise TopologyError(f"truth table {role}: {exc.args[0]}") from None
 
     table: dict[tuple[str, ...], bool] = {}
     for combo in combinations:
         stimuli = [
-            Stimulus(
-                node=nodes[name],
-                amplitude=amplitude,
-                t_start=t_start + skew.get(name, 0.0),
-            )
+            Stimulus(node=name, amplitude=amplitude, t_start=t_start + skew.get(name, 0.0))
             for name in combo
         ]
         waveform = simulate(topology, stimuli, config, params)

@@ -36,7 +36,7 @@ import yaml
 from . import network
 from .analysis import DEFAULT_THRESHOLD_MV, detect_pulses, dispersion_metric, truth_table
 from .engine import SimConfig, Waveform, simulate
-from .errors import InvalidSpecError, NotApplicableError, ScenarioError
+from .errors import InvalidSpecError, NotApplicableError, ScenarioError, SolitonsimError
 from .membrane import MembraneParams, SegmentSpec
 from .network import NodeId, Stimulus, Topology
 
@@ -110,15 +110,22 @@ def _reflection(scenario, topology, waveform, req: ReflectionRequest) -> dict[st
     return {"node": req.node, "pulse_count": count, "reflected": count >= 2}
 
 
-def _truth_table(scenario, topology, waveform, req: TruthTableRequest) -> dict[str, Any]:
-    table = truth_table(
+def _truth_rows(scenario, topology, combinations=None, skew=None) -> dict[tuple[str, ...], bool]:
+    """The scenario's truth-table request, run at its config, params and threshold."""
+    return truth_table(
         topology,
-        req.inputs,
-        req.output,
+        scenario.truth.inputs,
+        scenario.truth.output,
+        combinations,
+        skew=skew,
         config=scenario.config,
         params=scenario.params,
         threshold_mv=scenario.threshold_mv,
     )
+
+
+def _truth_table(scenario, topology, waveform, req: TruthTableRequest) -> dict[str, Any]:
+    table = _truth_rows(scenario, topology)
     rows = [{"driven": list(combo), "value": result} for combo, result in table.items()]
     return {"inputs": list(req.inputs), "output": req.output, "rows": rows}
 
@@ -296,13 +303,20 @@ def parse_scenario(document: Any, *, sha256: str = "") -> Scenario:
     )
     requests = _read(doc.get("analysis", {}), _ANALYSIS, "analysis")
     threshold_mv = requests.pop("threshold_mv", DEFAULT_THRESHOLD_MV)
+    params = doc.get("params", MembraneParams())
+    # at or below rest, a node that never leaves rest would read as one pulse
+    if not threshold_mv > params.v_rest:
+        raise _fail(
+            "analysis.threshold_mv",
+            f"must lie above params.v_rest ({params.v_rest}), got {threshold_mv}",
+        )
 
     scenario = Scenario(
         name=name,
         builder_kind=kind,
         builder_args=_read(builder, _BUILDERS[kind], "builder"),
         segment=doc.get("segment", SegmentSpec()),
-        params=doc.get("params", MembraneParams()),
+        params=params,
         stimuli=stimuli,
         probes=doc["probes"],
         config=doc.get("config", SimConfig()),
@@ -559,14 +573,21 @@ def _output_names(scenario: Scenario) -> tuple[str, str]:
 
 
 def write_outputs(run: ScenarioRun, out_dir: str | Path = ".") -> tuple[Path, Path]:
-    """Write a run's CSV and summary files; returns (csv_path, summary_path)."""
+    """Write a run's CSV and summary files; returns (csv_path, summary_path).
+
+    Raises SolitonsimError, writing nothing, for a summary that holds a NaN
+    or an infinity, which JSON cannot represent.
+    """
+    try:
+        summary = json.dumps(run.summary, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        name = run.scenario.name
+        raise SolitonsimError(f"scenario {name!r}: summary is not valid JSON: {exc}") from exc
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     csv_path, summary_path = (out / name for name in _output_names(run.scenario))
     write_waveform_csv(csv_path, run.waveform, run.scenario.probes)
-    summary_path.write_text(
-        json.dumps(run.summary, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    summary_path.write_text(summary, encoding="utf-8")
     return csv_path, summary_path
 
 

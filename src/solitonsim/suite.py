@@ -142,8 +142,8 @@ def criterion_5_annihilation(run: ScenarioRun) -> CriterionResult:
     if any(c != 1 for c in counts.values()):
         return CriterionResult(name, False, f"post-collision pulse leaked: {counts}")
     try:
-        near = rising_edge_slope(run.waveform, "v(6)")
-        far = rising_edge_slope(run.waveform, "v(4)")
+        near = rising_edge_slope(run.waveform, "v(6)", run.scenario.threshold_mv)
+        far = rising_edge_slope(run.waveform, "v(4)", run.scenario.threshold_mv)
     except NotApplicableError as exc:
         return CriterionResult(name, False, f"slope not measurable: {exc}")
     ok = near > far

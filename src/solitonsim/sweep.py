@@ -18,11 +18,12 @@ from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from .analysis import detect_pulses, logic_output, truth_table
+from .analysis import detect_pulses, logic_output
 from .engine import Waveform, refine_check, simulate
 from .errors import ScenarioError
 from .network import Topology
-from .scenario import Scenario, _check_out_dir, _csv_rows, analysis_entry, build_topology
+from .scenario import Scenario, analysis_entry, build_topology
+from .scenario import _check_out_dir, _csv_rows, _truth_rows
 
 
 @dataclass(frozen=True)
@@ -106,18 +107,9 @@ def _dispersion(scenario: Scenario, topology: Topology, waveform: Waveform) -> f
 def _truth_ab(scenario: Scenario, topology: Topology, skew_s: float) -> float:
     if scenario.truth is None:
         raise ScenarioError("truth_ab metric needs an analysis.truth_table request")
-    req = scenario.truth
-    table = truth_table(
-        topology,
-        req.inputs,
-        req.output,
-        combinations=[req.inputs],
-        skew={req.inputs[-1]: skew_s} if skew_s else None,
-        config=scenario.config,
-        params=scenario.params,
-        threshold_mv=scenario.threshold_mv,
-    )
-    return 1.0 if table[req.inputs] else 0.0
+    inputs = scenario.truth.inputs
+    (value,) = _truth_rows(scenario, topology, [inputs], {inputs[-1]: skew_s}).values()
+    return 1.0 if value else 0.0
 
 
 # metric -> function (scenario, topology, skew_s) -> float

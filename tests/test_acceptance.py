@@ -22,11 +22,13 @@ import pytest
 from golden.make_golden import counted_suite
 
 from solitonsim import suite as suite_module
-from solitonsim.scenario import ScenarioRun, load_bundled_scenario
+from solitonsim.analysis import DEFAULT_THRESHOLD_MV
+from solitonsim.scenario import ScenarioRun, evaluate_scenario, load_bundled_scenario
 from solitonsim.suite import (
     AMPLITUDE_GRID,
     CriterionResult,
     criterion_1_elements,
+    criterion_5_annihilation,
     criterion_6_truth_tables,
     criterion_8_taper_asymmetry,
     format_report,
@@ -204,6 +206,21 @@ def test_criterion_1_tolerance_depends_on_the_segment_length(monkeypatch):
     assert criterion_1_elements() == CriterionResult(
         "criterion_1_elements", False, "default c_shunt 3.236e-11 vs 3.14e-11 (+/-1%)"
     )
+
+
+def test_criterion_5_measures_slopes_at_the_scenario_threshold(monkeypatch):
+    # the pulse counts it checks first use the scenario's threshold too
+    collision = replace(load_bundled_scenario("fig9_collision"), threshold_mv=0.0)
+    run = evaluate_scenario(collision)
+    seen = []
+
+    def slope(waveform, node, threshold_mv=DEFAULT_THRESHOLD_MV):
+        seen.append((node, threshold_mv))
+        return 1.0
+
+    monkeypatch.setattr(suite_module, "rising_edge_slope", slope)
+    criterion_5_annihilation(run)
+    assert seen == [("v(6)", 0.0), ("v(4)", 0.0)]
 
 
 def gate_run(*high_rows):

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import errno
+import inspect
 import io
 import json
 import math
@@ -11,6 +13,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -24,8 +27,10 @@ from solitonsim import cli, network
 from solitonsim import scenario as scenario_module
 from solitonsim import sweep as sweep_module
 from solitonsim.cli import main
-from solitonsim.engine import Waveform
-from solitonsim.errors import NotApplicableError, ScenarioError
+from solitonsim.engine import SimConfig, Waveform
+from solitonsim.errors import NotApplicableError, ScenarioError, SolitonsimError
+from solitonsim.membrane import MembraneParams, SegmentSpec
+from solitonsim.network import NodeId, Stimulus
 from solitonsim.scenario import (
     BUILDER_KINDS,
     analysis_entry,
@@ -36,6 +41,7 @@ from solitonsim.scenario import (
     load_scenario,
     parse_scenario,
     run_scenario,
+    write_outputs,
     write_waveform_csv,
 )
 from solitonsim.sweep import SWEEP_METRICS, SWEEP_PARAMS, compute_metric
@@ -155,6 +161,14 @@ def broken_documents():
 
     doc = make_doc(analysis={"threshold_mv": math.nan})
     cases.append(("nan_threshold", doc, "analysis.threshold_mv: expected a finite number"))
+
+    # at or below rest, a node that never leaves rest would read as one pulse
+    doc = make_doc(analysis={"threshold_mv": -70.0})
+    cases.append(("threshold_at_rest", doc, "analysis.threshold_mv: must lie above params.v_rest"))
+
+    doc = make_doc(params={"v_rest": -60.0, "v_trigger": -40.0}, analysis={"threshold_mv": -65.0})
+    message = "analysis.threshold_mv: must lie above params.v_rest (-60.0), got -65.0"
+    cases.append(("threshold_below_rest", doc, message))
 
     # pulse lists are always computed: there is no switch for them
     doc = make_doc(analysis={"pulses": False})
@@ -293,6 +307,89 @@ def test_parsing_gives_a_scenario_or_a_scenario_error(document):
     except ScenarioError:
         return
     assert parsed.builder_kind in BUILDER_KINDS
+
+
+# Scales of the numbers the field tables require without a default
+REQUIRED_SCALES = {"amplitude": 6e-9, "d_start": 1e-4, "d_end": 1e-4}
+FACTORS = [0.5, 0.9, 1.0, 1.1, 2.0]
+VOLTAGE_FACTORS = [0.9, 1.0, 1.1]  # the membrane's voltages keep their order
+
+
+def field_value(draw, name, typ, default, labels):
+    """A value of the field's type: a number near its default, a label of the topology."""
+    if typ is bool:
+        return draw(st.booleans())
+    if typ is int:
+        return draw(st.integers(1, 4))
+    if typ is float:
+        factors = VOLTAGE_FACTORS if name.startswith("v_") else FACTORS
+        return REQUIRED_SCALES.get(name, default) * draw(st.sampled_from(factors))
+    if typ == tuple[str, ...]:
+        return draw(st.lists(st.sampled_from(labels), min_size=1, max_size=2, unique=True))
+    if typ in (str, NodeId | str):
+        return draw(st.sampled_from(labels))
+    return draw(st.sampled_from([member.value for member in typ]))  # the Enum
+
+
+def section(draw, table, defaults, labels=()):
+    """A mapping of a field table's required fields and some of its optional ones."""
+    return {
+        name: field_value(draw, name, typ, defaults.get(name), labels)
+        for name, (typ, required) in table.items()
+        if required or draw(st.booleans())
+    }
+
+
+def dataclass_section(draw, cls, labels=()):
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    return section(draw, scenario_module._SECTIONS[cls], defaults, labels)
+
+
+@st.composite
+def valid_documents(draw):
+    """A document of the right shape and types throughout, read from the
+    schema's own field tables, with probes and analyses on the topology's
+    labels and at most 2 ms simulated."""
+    kind = draw(st.sampled_from(BUILDER_KINDS))
+    build = getattr(network, f"build_{kind}")
+    defaults = {name: p.default for name, p in inspect.signature(build).parameters.items()}
+    builder = section(draw, scenario_module._BUILDERS[kind], defaults)
+    segment = dataclass_section(draw, SegmentSpec)
+    try:
+        labels = sorted(build(spec=SegmentSpec(**segment), **builder).labels)
+    except SolitonsimError:
+        labels = ["A"]  # the builder refuses its arguments: parse_scenario will too
+    params = dataclass_section(draw, MembraneParams)
+    config = dataclass_section(draw, SimConfig)
+    config["t_end"] = draw(st.sampled_from([0.5e-3, 1e-3, 2e-3]))
+    rest = params.get("v_rest", MembraneParams.v_rest)
+    analysis = {"threshold_mv": rest + draw(st.sampled_from([-10.0, 0.0, 15.0, 35.0, 50.0, 90.0]))}
+    for key, (request, _) in scenario_module._ANALYSES.items():
+        if draw(st.booleans()):
+            analysis[key] = dataclass_section(draw, request, labels)
+    stimuli = [dataclass_section(draw, Stimulus, labels) for _ in range(draw(st.integers(0, 2)))]
+    return {
+        "name": "valid",
+        "builder": {"kind": kind, **builder},
+        "segment": segment,
+        "params": params,
+        "stimuli": stimuli,
+        "probes": field_value(draw, "probes", tuple[str, ...], None, labels),
+        "config": config,
+        "analysis": analysis,
+    }
+
+
+@settings(max_examples=200, deadline=None)
+@given(document=valid_documents())
+def test_schema_valid_documents_give_strict_json_or_a_typed_error(document):
+    try:
+        run = evaluate_scenario(parse_scenario(document))
+    except SolitonsimError as exc:
+        event(type(exc).__name__)
+        return
+    event("ran")
+    json.dumps(run.summary, allow_nan=False)
 
 
 def test_load_scenario_from_file(tmp_path):
@@ -769,6 +866,32 @@ def test_cli_sweep_refuses_a_name_too_long_before_simulating(tmp_path, capsys, m
     assert sorted(tmp_path.rglob("*")) == before
 
 
+def test_cli_run_refuses_a_threshold_at_or_below_rest_before_simulating(
+    tmp_path, capsys, monkeypatch
+):
+    # below rest, an idle probe read as one pulse of NaN width, and the
+    # summary held NaN, which is not JSON
+    path = tmp_path / "idle.yaml"
+    path.write_text(
+        "name: idle\nbuilder: {kind: chain, n_segments: 2}\nstimuli: []\n"
+        "probes: [A, v(2)]\nanalysis: {threshold_mv: -80.0}\n"
+    )
+    before = sorted(tmp_path.rglob("*"))
+    monkeypatch.setattr(scenario_module, "simulate", no_runs)
+    assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "analysis.threshold_mv: must lie above params.v_rest (-70.0), got -80.0" in err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_write_outputs_refuses_a_summary_that_is_not_json(tmp_path):
+    run = evaluate_scenario(parse_scenario(make_doc()))
+    run.summary["analysis"]["pulses"]["v(2)"][0]["fwhm_s"] = math.nan
+    with pytest.raises(SolitonsimError, match="scenario 'probe_run': summary is not valid JSON"):
+        write_outputs(run, tmp_path / "out")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_run_refuses_a_read_only_out_dir_before_simulating(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(scenario_module, "simulate", no_runs)
     monkeypatch.setattr(scenario_module.os, "access", lambda *_args: False)
@@ -938,23 +1061,32 @@ def cli_cases(draw):
 
 @pytest.fixture(scope="module")
 def cli_paths(tmp_path_factory):
+    """The paths every example shares: none of them is ever written."""
     root = tmp_path_factory.mktemp("cli")
     (root / "broken.yaml").write_text("name: [unclosed\n")
     (root / "invalid.yaml").write_text("name: bad\nbuilder: {kind: chain}\nprobes: [v(2)]\n")
     (root / "file").write_text("")
-    (root / "cwd").mkdir()
     return {
-        "<mutated>": str(root / "mutated.yaml"),
-        "<mutated-stem>": str(root / "mutated"),
         "<broken>": str(root / "broken.yaml"),
         "<invalid>": str(root / "invalid.yaml"),
         "<missing>": str(root / "ghost.yaml"),
         "<directory>": str(root),
-        "<out>": str(root / "out"),
         "<under-file>": str(root / "file" / "out"),
         "<file>": str(root / "file"),
         "<long-name>": str(root / ("x" * 300)),
-        "<cwd>": str(root / "cwd"),
+    }
+
+
+def fresh_paths(root):
+    """The paths an example writes, in a new directory: overwriting a file
+    costs tens of milliseconds on some file systems, creating one does not."""
+    fresh = Path(tempfile.mkdtemp(dir=root))
+    (fresh / "cwd").mkdir()
+    return {
+        "<mutated>": str(fresh / "mutated.yaml"),
+        "<mutated-stem>": str(fresh / "mutated"),
+        "<out>": str(fresh / "out"),
+        "<cwd>": str(fresh / "cwd"),
     }
 
 
@@ -962,11 +1094,12 @@ def cli_paths(tmp_path_factory):
 @given(case=cli_cases())
 def test_cli_exits_0_to_3_without_a_traceback(cli_paths, case):
     argv, document = case
-    Path(cli_paths["<mutated>"]).write_text(yaml.safe_dump(document))
-    words = [re.sub("<[a-z-]+>", lambda token: cli_paths[token[0]], word) for word in argv]
+    paths = {**cli_paths, **fresh_paths(cli_paths["<directory>"])}
+    Path(paths["<mutated>"]).write_text(yaml.safe_dump(document))
+    words = [re.sub("<[a-z-]+>", lambda token: paths[token[0]], word) for word in argv]
     out, err = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
-    os.chdir(cli_paths["<cwd>"])  # where a run without --out-dir writes
+    os.chdir(paths["<cwd>"])  # where a run without --out-dir writes
     try:
         with redirect_stdout(out), redirect_stderr(err):
             code = main(words)

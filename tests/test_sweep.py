@@ -14,6 +14,7 @@ import tracemalloc
 
 import pytest
 
+import solitonsim.scenario as scenario_module
 import solitonsim.sweep as sweep
 from solitonsim.analysis import truth_table
 from solitonsim.engine import SimConfig
@@ -107,7 +108,7 @@ def test_skew_sweep_needs_the_truth_ab_metric(monkeypatch):
     # skew reaches only truth_ab: peak_mv would read the same at every skew
     xor = load_bundled_scenario("fig13_xor")
     monkeypatch.setattr(sweep, "simulate", no_runs)
-    monkeypatch.setattr(sweep, "truth_table", no_runs)
+    monkeypatch.setattr(scenario_module, "truth_table", no_runs)
     for metric in ("peak_mv", "logic", "refine_discrepancy"):
         with pytest.raises(ScenarioError, match="skew sweep needs the truth_ab metric"):
             run_sweep(xor, "skew", [0.0, 2e-3, 6e-3], metric)
@@ -117,7 +118,7 @@ def test_skew_sweep_needs_the_truth_ab_metric(monkeypatch):
 
 def test_amplitude_sweep_rejects_truth_ab(monkeypatch):
     # truth_ab drives a fixed 10 nA: it would read 1.0 even at 1 pA
-    monkeypatch.setattr(sweep, "truth_table", no_runs)
+    monkeypatch.setattr(scenario_module, "truth_table", no_runs)
     with pytest.raises(ScenarioError, match="cannot follow an amplitude sweep"):
         run_sweep(load_bundled_scenario("fig11_or"), "amplitude", [1e-12, 1e-9, 10e-9], "truth_ab")
 
