@@ -23,6 +23,9 @@ from .network import NodeId, Stimulus, Topology
 
 DEFAULT_THRESHOLD_MV = -20.0
 
+# The current truth_table drives each selected input with by default, amperes
+_ROW_AMPLITUDE = 10e-9
+
 
 @dataclass(frozen=True)
 class PulseEvent:
@@ -172,13 +175,29 @@ def first_phase_time(
     return float(waveform.times[hits[0]])
 
 
+def _power_set(inputs: Sequence[str]) -> list[tuple[str, ...]]:
+    """Every combination of the inputs, in (size, position) order."""
+    return [combo for size in range(len(inputs) + 1) for combo in itertools.combinations(inputs, size)]
+
+
+def _row_stimuli(
+    combo: Sequence[str],
+    skew: Mapping[str, float] | None = None,
+    amplitude: float = _ROW_AMPLITUDE,
+    t_start: float = Stimulus.t_start,
+) -> list[Stimulus]:
+    """The stimuli of one truth-table row: each driven input at t_start plus its skew."""
+    skew = skew or {}
+    return [Stimulus(node=name, amplitude=amplitude, t_start=t_start + skew.get(name, 0.0)) for name in combo]
+
+
 def truth_table(
     topology: Topology,
     inputs: Sequence[str],
     output: NodeId | str,
     combinations: Sequence[Sequence[str]] | None = None,
     *,
-    amplitude: float = 10e-9,
+    amplitude: float = _ROW_AMPLITUDE,
     t_start: float = Stimulus.t_start,
     skew: Mapping[str, float] | None = None,
     config: SimConfig = SimConfig(),
@@ -208,12 +227,7 @@ def truth_table(
             before any row is simulated.
     """
     if combinations is None:
-        combinations = [
-            combo
-            for size in range(len(inputs) + 1)
-            for combo in itertools.combinations(inputs, size)
-        ]
-    skew = dict(skew or {})
+        combinations = _power_set(inputs)
     roles = dict.fromkeys([*inputs, *itertools.chain.from_iterable(combinations)], "input")
     for label, role in [*roles.items(), (output, "output")]:
         try:
@@ -223,10 +237,7 @@ def truth_table(
 
     table: dict[tuple[str, ...], bool] = {}
     for combo in combinations:
-        stimuli = [
-            Stimulus(node=name, amplitude=amplitude, t_start=t_start + skew.get(name, 0.0))
-            for name in combo
-        ]
+        stimuli = _row_stimuli(combo, skew, amplitude, t_start)
         waveform = simulate(topology, stimuli, config, params)
         table[tuple(combo)] = logic_output(waveform, output, threshold_mv)
     return table

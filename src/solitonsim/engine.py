@@ -17,6 +17,13 @@ where a segment's head leaves the window in which its phase cannot change
 voltage is non-finite (InstabilityError).  Events are therefore resolved at
 step granularity, exactly as with a step-by-step loop, which is what the
 refinement check is for.
+
+A span need not be screened step by step where it is certified: with every
+mode settling toward the span's fixed point, each head stays within a bound
+around its fixed-point voltage, and where that interval lies inside every
+head's window before a block, no gate can move before the span ends.  The
+loop then writes the span's recorded rows in closed form and goes on from
+its end (``_ModalSystem.settle_point``, ``holds`` and ``jump``).
 """
 
 from __future__ import annotations
@@ -157,6 +164,13 @@ _MAX_RUN_FLOATS = 1 << 27
 # quotient a few ulps below a whole number must still count its last step.
 _GRID_SLACK = 1e-9
 
+# Rounding slack of the settling certificate, relative to the magnitudes its
+# bound sums (|back| times |z*| and |z - z*|, plus the offset).  The bound and
+# the block path's rows each round at well below 1e-12 of those (eps 2.2e-16
+# over at most a table's depth of accumulated products), so a head the
+# certificate keeps this far inside its window cannot leave it in either path.
+_SETTLE_SLACK = 1e-9
+
 
 @dataclass(frozen=True, eq=False)
 class _ModalSystem:
@@ -175,6 +189,13 @@ class _ModalSystem:
     R_j = g (r^0 + ... + r^(j-1)) with r = 1 - g lam is row j-1 of ``reach``.
     R_j has no 1 - r divisor, so a lam = 0 mode (a capacitive node no segment
     touches) is exact too.  ``back`` maps modal states to node voltages.
+
+    Where every lam > 0 and |r| <= 1 (``contracts``), a span of constant F
+    also has the closed form z_j = z* + r^j (z - z*) about its fixed point
+    z* = F / lam, so every head stays within v*_h +- sum_m |back[m, h]|
+    |z_m - z*_m| for the rest of the span (Brette 2007; D'Haene et al. 2009).
+    Where that interval lies inside every head's stay window, no gate can
+    move before the span ends, and the span is jumped in closed form.
     """
 
     index: dict[NodeId, int]  # node id -> column
@@ -191,6 +212,10 @@ class _ModalSystem:
     lam: np.ndarray
     back: np.ndarray
     reach: np.ndarray
+    rate: np.ndarray  # r per mode
+    head_back: np.ndarray  # back[:, heads]
+    head_abs: np.ndarray  # |back[:, heads]|
+    contracts: bool  # every lam > 0 and |r| <= 1
 
     def start(self, u: np.ndarray, stim: np.ndarray):
         """The modal state of node voltages u, and node currents to take off step 1.
@@ -212,6 +237,43 @@ class _ModalSystem:
         modal = self.reach[:m] * (forcing - self.lam * state)
         modal += state
         return modal
+
+    def settle_point(self, forcing: np.ndarray, offset: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+        """A span's fixed point, if every mode settles toward it and every head there is in its window.
+
+        Returns (z*, the head voltages v* at z*, the magnitude each v* sums)
+        or None.  The span's per-block certificate (``holds``) needs all three.
+        """
+        if not self.contracts:
+            return None
+        fixed, head_offset = forcing / self.lam, offset[self.heads]
+        head_mv = fixed @ self.head_back + head_offset
+        if not ((lo <= head_mv) & (head_mv < hi)).all():  # NaN fails too
+            return None
+        return fixed, head_mv, np.abs(fixed) @ self.head_abs + np.abs(head_offset)
+
+    def holds(self, state: np.ndarray, point, lo: np.ndarray, hi: np.ndarray) -> bool:
+        """Whether no head can leave its window from modal state ``state`` to the span's end."""
+        fixed, head_mv, size = point
+        reach = np.abs(state - fixed) @ self.head_abs
+        margin = reach + _SETTLE_SLACK * (size + reach)
+        return bool(((head_mv - margin >= lo) & (head_mv + margin < hi)).all())
+
+    def jump(self, state, point, offset, first: int, stride: int, n: int, out: np.ndarray):
+        """Close a certified span of n steps in closed form about its settle point.
+
+        Writes the node voltages of the steps first, first + stride, ... into
+        the rows of ``out``, at most a table's depth of rows at a time, and
+        returns the modal state and head voltages after step n.
+        """
+        fixed = point[0]
+        gap = state - fixed
+        depth = len(self.reach)
+        for row in range(0, len(out), depth):
+            js = np.arange(row, min(row + depth, len(out)))[:, None] * stride + first
+            out[row : row + depth] = (fixed + self.rate**js * gap) @ self.back + offset
+        end = fixed + self.rate**n * gap
+        return end, end @ self.head_back + offset[self.heads]
 
 
 def _modal_system(
@@ -262,9 +324,25 @@ def _modal_system(
     depth = max(1, min(_BLOCK_FLOATS // len(cnodes), n_steps))
     reach = np.vstack((np.ones(len(cnodes)), np.broadcast_to(rate, (depth - 1, len(cnodes)))))
     reach = gain * np.cumsum(np.cumprod(reach, axis=0), axis=0)
+    contracts = bool(lam.min() > 0.0 and np.abs(rate).max() <= 1.0)
     return _ModalSystem(
-        index, heads, currents, theta, cnodes, rails, rail_inv, k_rc, g_rc, scale, vectors, lam, back, reach
+        index, heads, currents, theta, cnodes, rails, rail_inv, k_rc, g_rc, scale, vectors, lam, back, reach,
+        rate, back[:, heads], np.abs(back[:, heads]), contracts,
     )
+
+
+def _initial_voltages(topology: Topology, index: dict, initial_mv: dict, rest: float) -> np.ndarray:
+    """Starting node voltages, millivolts off rest: ``initial_mv`` per node id or label, else 0."""
+    u = np.zeros(len(index))
+    for node, mv in initial_mv.items():
+        try:
+            col = index[topology.resolve(node)]
+        except KeyError as exc:
+            raise TopologyError(f"initial voltage at unknown node: {exc.args[0]}") from exc
+        if not math.isfinite(mv):
+            raise InvalidSpecError(f"initial voltage at {node!r} must be finite, got {mv}")
+        u[col] = mv - rest
+    return u
 
 
 def _stimulus_schedule(topology: Topology, index: dict, stimuli, h: float, n_steps: int):
@@ -349,16 +427,7 @@ def simulate(
         return vec
 
     rest = params.v_rest
-    u = np.zeros(n)  # millivolts off rest
-    if initial_mv:
-        for node, mv in initial_mv.items():
-            try:
-                col = system.index[topology.resolve(node)]
-            except KeyError as exc:
-                raise TopologyError(f"initial voltage at unknown node: {exc.args[0]}") from exc
-            if not math.isfinite(mv):
-                raise InvalidSpecError(f"initial voltage at {node!r} must be finite, got {mv}")
-            u[col] = mv - rest
+    u = _initial_voltages(topology, system.index, initial_mv or {}, rest)  # millivolts off rest
 
     n_segments = len(topology.segments)
     lo_table, hi_table = map(np.array, stay_windows(params))  # per phase code, the stay window
@@ -372,6 +441,7 @@ def simulate(
     voltages[0] = u + rest
 
     modal_state, step_1_extra = system.start(u, stim_vector(0))
+    ones = np.ones(n)
     offset = np.full(n, rest)  # rest plus the rail voltages G_rr^-1 b_r of the current span
     head_prev = u[system.heads] + rest
     span_end = 0  # last step of the current span, over which the forcing is constant
@@ -389,6 +459,16 @@ def simulate(
             modal_forcing = system.back @ forcing
             offset[system.rails] = rest + system.rail_inv * stim[system.rails]
             lo, hi = lo_table[states], hi_table[states]
+            point = system.settle_point(modal_forcing, offset, lo, hi)
+        first_row = -(-first // stride)
+        if point is not None and system.holds(modal_state, point, lo, hi):
+            # no gate can move before the span ends: jump there, writing its recorded rows
+            rows = voltages[first_row : span_end // stride + 1]
+            modal_state, head_prev = system.jump(
+                modal_state, point, offset, first_row * stride - done, stride, span_end - done, rows
+            )
+            done = span_end
+            continue
         m = min(len(system.reach), span_end - done)
         modal = system.advance(modal_state, modal_forcing, m)
         block = modal @ system.back + offset
@@ -396,7 +476,7 @@ def simulate(
         # a step stops the block when a head leaves its window or a value is non-finite
         head_mv = block[:, system.heads]
         leaving = (head_mv < lo) | (head_mv >= hi)
-        finite = np.isfinite(block).all(axis=1)
+        finite = np.isfinite(block @ ones)  # a NaN or inf anywhere in a row makes its sum non-finite
         stop = leaving.any(axis=1) | ~finite
         cut = int(np.argmax(stop))
         n_take = cut + 1 if stop[cut] else m
@@ -405,7 +485,6 @@ def simulate(
             raise InstabilityError(f"non-finite voltage at step {k} (t = {k * h:.6g} s)", step=k)
 
         # record the accepted steps done+1 .. k that fall on the grid
-        first_row = -(-first // stride)
         rows = block[first_row * stride - first : n_take : stride]
         voltages[first_row : first_row + len(rows)] = rows
 
@@ -444,6 +523,8 @@ def refine_check(
     stimuli: list[Stimulus] | tuple[Stimulus, ...],
     config: SimConfig,
     params: MembraneParams | None = None,
+    *,
+    coarse: Waveform | None = None,
 ) -> ConvergenceReport:
     """Compare a run at dt against dt/2 on the shared sample grid.
 
@@ -454,9 +535,13 @@ def refine_check(
     segment fires in one run but not the other, or when the firing shift
     exceeds two coarse sample spacings: at a trustworthy dt the switching
     sequence must not move on refinement.
+
+    ``coarse``, if given, is the run at dt, ``simulate(topology, stimuli,
+    config, params)``, already made; only the dt/2 run is simulated.
     """
     fine_config = replace(config, dt=config.dt / 2.0, record_stride=config.record_stride * 2)
-    coarse = simulate(topology, stimuli, config, params)
+    if coarse is None:
+        coarse = simulate(topology, stimuli, config, params)
     fine = simulate(topology, stimuli, fine_config, params)
 
     n_shared = min(len(coarse.times), len(fine.times))

@@ -25,7 +25,7 @@ import json
 import os
 import sys
 from collections.abc import Mapping, Sequence
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 from typing import Any, get_type_hints
@@ -34,7 +34,15 @@ import numpy as np
 import yaml
 
 from . import network
-from .analysis import DEFAULT_THRESHOLD_MV, detect_pulses, dispersion_metric, truth_table
+from .analysis import (
+    DEFAULT_THRESHOLD_MV,
+    _power_set,
+    _row_stimuli,
+    detect_pulses,
+    dispersion_metric,
+    logic_output,
+    truth_table,
+)
 from .engine import SimConfig, Waveform, simulate
 from .errors import InvalidSpecError, NotApplicableError, ScenarioError, SolitonsimError
 from .membrane import MembraneParams, SegmentSpec
@@ -110,22 +118,43 @@ def _reflection(scenario, topology, waveform, req: ReflectionRequest) -> dict[st
     return {"node": req.node, "pulse_count": count, "reflected": count >= 2}
 
 
-def _truth_rows(scenario, topology, combinations=None, skew=None) -> dict[tuple[str, ...], bool]:
-    """The scenario's truth-table request, run at its config, params and threshold."""
-    return truth_table(
+def _resolved(topology: Topology, stimuli) -> list[Stimulus] | None:
+    """Stimuli with every node as its id; None if a node is unknown."""
+    try:
+        return [replace(stim, node=topology.resolve(stim.node)) for stim in stimuli]
+    except KeyError:
+        return None
+
+
+def _truth_rows(
+    scenario, topology, combinations=None, skew=None, waveform=None
+) -> dict[tuple[str, ...], bool]:
+    """The scenario's truth-table request, run at its config, params and threshold.
+
+    ``waveform``, if given, is the scenario's own run: the row whose
+    resolved stimuli equal the scenario's is read from it, not simulated
+    again.
+    """
+    inputs, output = scenario.truth.inputs, scenario.truth.output
+    combos = _power_set(inputs) if combinations is None else [tuple(c) for c in combinations]
+    own = _resolved(topology, scenario.stimuli) if waveform is not None else None
+    served = [c for c in combos if own is not None and _resolved(topology, _row_stimuli(c, skew)) == own]
+    table = truth_table(
         topology,
-        scenario.truth.inputs,
-        scenario.truth.output,
-        combinations,
+        inputs,
+        output,
+        [c for c in combos if c not in served],
         skew=skew,
         config=scenario.config,
         params=scenario.params,
         threshold_mv=scenario.threshold_mv,
     )
+    table.update((c, logic_output(waveform, output, scenario.threshold_mv)) for c in served)
+    return {c: table[c] for c in combos}
 
 
 def _truth_table(scenario, topology, waveform, req: TruthTableRequest) -> dict[str, Any]:
-    table = _truth_rows(scenario, topology)
+    table = _truth_rows(scenario, topology, waveform=waveform)
     rows = [{"driven": list(combo), "value": result} for combo, result in table.items()]
     return {"inputs": list(req.inputs), "output": req.output, "rows": rows}
 
@@ -141,7 +170,11 @@ _ANALYSES = {
 def analysis_entry(
     scenario: Scenario, topology: Topology, waveform: Waveform, key: str
 ) -> dict[str, Any]:
-    """The summary entry of the scenario's ``analysis.<key>`` request."""
+    """The summary entry of the scenario's ``analysis.<key>`` request.
+
+    ``waveform`` is the scenario's own run, as ``evaluate_scenario`` makes
+    it: a truth-table request reads its matching row from it.
+    """
     if key not in scenario.requests:
         raise ScenarioError(f"scenario {scenario.name!r} has no analysis.{key} request")
     return _ANALYSES[key][1](scenario, topology, waveform, scenario.requests[key])

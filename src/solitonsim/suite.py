@@ -222,7 +222,11 @@ def criterion_9_numerics(chain_run: ScenarioRun) -> CriterionResult:
     name = "criterion_9_numerics"
     scenario = chain_run.scenario
     report = refine_check(
-        chain_run.topology, scenario.stimuli, scenario.config, scenario.params
+        chain_run.topology,
+        scenario.stimuli,
+        scenario.config,
+        scenario.params,
+        coarse=chain_run.waveform,
     )
     refine_ok = report.max_discrepancy_mv < 1.0 and not report.events_diverged
 

@@ -10,8 +10,9 @@ Runs ``run_paper_suite`` once into a fresh temporary directory and keeps:
 * ``csv_samples.json``: per CSV, its header, its data row count and every
   ``SAMPLE_EVERY``-th data row (rows 0, 50, 100, ...) as text, with that
   interval;
-* ``gate_counts.json``: how often the run consulted ``engine.step_gate``
-  and how many of those consultations changed a phase.
+* ``gate_counts.json``: how often the run consulted ``engine.step_gate``,
+  how many of those consultations changed a phase, and how many times it
+  called ``simulate``.
 
 ``tests/test_acceptance.py`` compares a suite run with these files.  A
 change that regenerates them must say why.
@@ -26,7 +27,7 @@ from pathlib import Path
 
 import pytest
 
-from solitonsim import engine
+from solitonsim import analysis, engine, scenario, suite, sweep
 from solitonsim.suite import format_report, run_paper_suite
 
 GOLDEN = Path(__file__).resolve().parent
@@ -39,9 +40,9 @@ def csv_sample(path: Path) -> dict:
 
 
 def counted_suite(out: Path):
-    """Run the suite into ``out``; return its results and its gate consultation counts."""
-    real = engine.step_gate
-    counts = {"step_gate_calls": 0, "phase_changes": 0}
+    """Run the suite into ``out``; return its results, its gate consultation and simulation counts."""
+    real, real_simulate = engine.step_gate, engine.simulate
+    counts = {"step_gate_calls": 0, "phase_changes": 0, "simulate_calls": 0}
 
     def counting(old, *args):
         new = real(old, *args)
@@ -49,8 +50,14 @@ def counted_suite(out: Path):
         counts["phase_changes"] += int(new is not old)
         return new
 
+    def simulating(*args, **kwargs):
+        counts["simulate_calls"] += 1
+        return real_simulate(*args, **kwargs)
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(engine, "step_gate", counting)
+        for module in (engine, analysis, scenario, suite, sweep):
+            patch.setattr(module, "simulate", simulating)
         results = run_paper_suite(out)
     return results, counts
 

@@ -129,7 +129,9 @@ def test_report_matches_golden(suite):
 
 def test_gate_consultations_match_golden(suite):
     # step_gate is consulted only where a head leaves its stay window, so a
-    # loop that screens or locates events differently moves these counts
+    # loop that screens or locates events differently moves these counts;
+    # simulate_calls counts each distinct simulation once, plus criterion 9's
+    # deliberate rerun and criterion 8's forward 4 nA point (fig16_taper's run)
     assert suite.gate_counts == json.loads((GOLDEN / "gate_counts.json").read_text())
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -53,19 +54,35 @@ def passive_spec() -> SegmentSpec:
     return SegmentSpec(active=False)
 
 
+def count_jumps(monkeypatch) -> list[int]:
+    """Record the step count of every span the loop jumps in closed form."""
+    real = engine._ModalSystem.jump
+    jumps = []
+
+    def jump(self, state, point, offset, first, stride, n, out):
+        jumps.append(n)
+        return real(self, state, point, offset, first, stride, n, out)
+
+    monkeypatch.setattr(engine._ModalSystem, "jump", jump)
+    return jumps
+
+
 # ---------------------------------------------------------------------
 # equilibrium and decay
 # ---------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("integrator", BOTH_INTEGRATORS)
-def test_zero_stimulus_equilibrium_is_bit_exact(integrator):
-    # 10 segments run in blocks growing from 64 steps, 160 segments in blocks of 25
+def test_zero_stimulus_equilibrium_is_bit_exact(monkeypatch, integrator):
+    # one quiet span, certified at once and jumped in closed form (table chunks
+    # of 409 steps for 10 segments, 25 for 160)
+    jumps = count_jumps(monkeypatch)
     config = SimConfig(t_end=5e-3, record_stride=1, integrator=integrator)
     for n_segments in (10, 160):
         wave = simulate(build_chain(n_segments), (), config)
         assert np.all(wave.voltages_mv == -70.0)
         assert np.all(wave.phases == GateState.REST.value)
+    assert jumps == [5000, 5000]
 
 
 @pytest.mark.parametrize(
@@ -453,6 +470,9 @@ EDGE_CASES = {
         {"F": -60.0},
     ),
     "rail_feeding_two_branches": (rail_feeding_two_branches(), [STIM], None),
+    # no drive at all: the fixed point is rest, inside every window, yet the
+    # charge spreading from v(3) fires its neighbours
+    "quiet_charge_fires_neighbours": (build_chain(4), [], {"v(3)": 100.0}),
 }
 
 
@@ -583,3 +603,120 @@ def test_transition_on_a_recorded_row_with_stride():
     assert np.array_equal(coarse.phases, fine.phases[::stride])
     assert np.array_equal(coarse.voltages_mv, fine.voltages_mv[::stride])
     assert_matches_reference(coarse, reference_simulate(topology, stimuli, coarse_config, params))
+
+
+# ---------------------------------------------------------------------
+# the settling certificate: spans in which no gate can move are jumped
+# ---------------------------------------------------------------------
+
+
+REAL_SETTLE_POINT = engine._ModalSystem.settle_point
+
+
+def gate_waved_through(self, forcing, offset, lo, hi):
+    # the once-per-span window test always passes, so every block of a
+    # contracting system asks the bound
+    wide = np.full_like(lo, math.inf)
+    return REAL_SETTLE_POINT(self, forcing, offset, -wide, wide)
+
+
+CERTIFICATE_MODES = {
+    "off": lambda self, forcing, offset, lo, hi: None,
+    "on": gate_waved_through,
+}
+
+
+# each drawn run is checked twice against one reference; 60 of them take about 1 s
+@settings(max_examples=60, deadline=None)
+@given(run=small_runs())
+def test_random_small_nets_match_reference_with_certificate_off_and_on(run):
+    reference = reference_simulate(*run)
+    for settle_point in CERTIFICATE_MODES.values():
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine._ModalSystem, "settle_point", settle_point)
+            assert_matches_reference(simulate(*run), reference)
+
+
+def test_a_bound_that_certifies_everything_fails_against_the_reference(monkeypatch):
+    run = scenario_run("fig1_patch", record_stride=1)
+    reference = reference_simulate(*run)
+    assert_matches_reference(simulate(*run), reference)
+    monkeypatch.setattr(engine._ModalSystem, "settle_point", gate_waved_through)
+    monkeypatch.setattr(engine._ModalSystem, "holds", lambda self, state, point, lo, hi: True)
+    with pytest.raises(AssertionError):
+        assert_matches_reference(simulate(*run), reference)
+
+
+@pytest.mark.parametrize("integrator", BOTH_INTEGRATORS)
+def test_a_zero_conductance_mode_is_never_certified(monkeypatch, integrator):
+    topology, stimuli, initial_mv = EDGE_CASES["floating_node"]
+    config = SimConfig(t_end=4e-3, record_stride=1, integrator=integrator)
+    jumps = count_jumps(monkeypatch)
+    wave = simulate(topology, stimuli, config, PARAMS, initial_mv)
+    assert_matches_reference(wave, reference_simulate(topology, stimuli, config, PARAMS, initial_mv))
+    assert jumps == []
+    system = engine._modal_system(topology, PARAMS, config.dt, integrator, 100)
+    n = len(topology.node_ids)
+    lo, hi = (np.full(len(system.heads), edge) for edge in (-math.inf, math.inf))
+    assert not system.contracts
+    assert system.settle_point(np.zeros(len(system.lam)), np.full(n, -70.0), lo, hi) is None
+
+
+def test_a_growing_mode_is_never_certified():
+    # a negative step makes backward Euler's r = 1 / (1 + h lam) exceed 1 with every lam > 0
+    system = engine._modal_system(build_chain(2), PARAMS, -1e-6, Integrator.BACKWARD_EULER, 100)
+    assert system.lam.min() > 0.0 and system.rate.max() > 1.0
+    lo, hi = (np.full(2, edge) for edge in (-math.inf, math.inf))
+    assert not system.contracts
+    assert system.settle_point(np.zeros(2), np.full(3, -70.0), lo, hi) is None
+
+
+def test_stiff_trapezoidal_net_with_negative_r_matches_reference(monkeypatch):
+    # 10 um segments: h lam reaches 6.1, and the stiffest mode's r is -0.51
+    topology = build_chain(8, SegmentSpec(length=0.001))
+    config = SimConfig(t_end=3e-3, record_stride=1)
+    assert engine._modal_system(topology, PARAMS, config.dt, config.integrator, 10).rate.min() < -0.5
+    jumps = count_jumps(monkeypatch)
+    run = (topology, [replace(STIM, amplitude=1e-9, t_start=0.2e-3)], config, PARAMS)
+    wave = simulate(*run)
+    assert_matches_reference(wave, reference_simulate(*run))
+    assert jumps and np.any(wave.phases != GateState.REST.value)
+
+
+@pytest.mark.parametrize("integrator", BOTH_INTEGRATORS)
+def test_quiet_chain_jumps_its_span_in_one_branch_and_in_table_chunks(monkeypatch, integrator):
+    jumps = count_jumps(monkeypatch)
+    blocks = []
+    real_advance = engine._ModalSystem.advance
+    monkeypatch.setattr(
+        engine._ModalSystem, "advance", lambda self, *args: blocks.append(args) or real_advance(self, *args)
+    )
+    topology, n_steps = build_chain(4), 200_000
+    config = SimConfig(t_end=n_steps * 1e-6, record_stride=1, integrator=integrator)
+    tracemalloc.start()
+    try:
+        wave = simulate(topology, (), config, PARAMS, {"v(4)": -65.0})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # no stimulus and no transition: one span, closed in one branch, never screened
+    assert jumps == [n_steps] and blocks == []
+    assert np.all(wave.phases == GateState.REST.value)
+    assert float(np.abs(wave.voltages_mv[-1] + 70.0).max()) < 1e-9
+    # beyond the outputs, nothing near the 1.6 MB of one full-length column
+    # is held: the rows are made a table's depth (1,024 steps) at a time
+    outputs = wave.times.nbytes + wave.voltages_mv.nbytes + wave.phases.nbytes
+    assert peak - outputs < 400_000
+    run = (topology, (), replace(config, t_end=3e-3), PARAMS, {"v(4)": -65.0})
+    assert_matches_reference(simulate(*run), reference_simulate(*run))
+
+
+def test_refine_check_reuses_a_given_coarse_run(monkeypatch):
+    topology, config = build_chain(2), SimConfig(t_end=4e-3)
+    coarse = simulate(topology, [STIM], config)
+    calls = []
+    real = engine.simulate
+    monkeypatch.setattr(engine, "simulate", lambda *args: calls.append(args[2]) or real(*args))
+    assert refine_check(topology, [STIM], config, coarse=coarse) == refine_check(topology, [STIM], config)
+    # the given run stands in for the run at dt; the dt/2 run is made both times
+    assert [c.dt for c in calls] == [0.5e-6, 1e-6, 0.5e-6]

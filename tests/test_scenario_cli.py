@@ -23,9 +23,11 @@ import yaml
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from solitonsim import analysis as analysis_module
 from solitonsim import cli, network
 from solitonsim import scenario as scenario_module
 from solitonsim import sweep as sweep_module
+from solitonsim.analysis import truth_table
 from solitonsim.cli import main
 from solitonsim.engine import SimConfig, Waveform
 from solitonsim.errors import NotApplicableError, ScenarioError, SolitonsimError
@@ -659,7 +661,8 @@ def test_csv_encoder_writes_any_float_as_per_float_formatting(csv_dir, pool, n_p
         labels=labels,
         rest_mv=-70.0,
     )
-    path = csv_dir / "wave.csv"
+    # a fresh directory per example: overwriting one file costs a truncate each time
+    path = Path(tempfile.mkdtemp(dir=csv_dir)) / "wave.csv"
     write_waveform_csv(path, wave, tuple(labels))
     expected = np.column_stack((table[:, 0], table[:, 1:] * 1e-3))
     assert path.read_text() == "t_s," + ",".join(labels) + "\n" + per_float_csv(expected)
@@ -697,6 +700,60 @@ def test_dispersion_entry_shapes_shared_with_the_sweep_metric():
     assert "0 at 'v(7)'" in entry["reason"]
     assert entry == analysis_entry(scenario, run.topology, run.waveform, "dispersion")
     assert math.isnan(compute_metric(scenario, "dispersion"))
+
+
+def truth_rows_simulated(monkeypatch) -> list[tuple]:
+    """Record the driven nodes of every truth-table row that truth_table simulates."""
+    rows = []
+    real = analysis_module.simulate
+
+    def simulate(topology, stimuli, *args):
+        rows.append(tuple(stim.node for stim in stimuli))
+        return real(topology, stimuli, *args)
+
+    monkeypatch.setattr(analysis_module, "simulate", simulate)
+    return rows
+
+
+def every_row_simulated(scenario) -> dict[tuple[str, ...], bool]:
+    truth = scenario.truth
+    return truth_table(
+        build_topology(scenario),
+        truth.inputs,
+        truth.output,
+        config=scenario.config,
+        params=scenario.params,
+        threshold_mv=scenario.threshold_mv,
+    )
+
+
+@pytest.mark.parametrize(
+    "name,own_row", [("fig11_or", ("A",)), ("fig13_xor", ("A", "B")), ("fig14_and", ("A", "B"))]
+)
+def test_gate_scenario_run_serves_its_matching_truth_row(monkeypatch, name, own_row):
+    scenario = load_bundled_scenario(name)
+    expected = every_row_simulated(scenario)
+    simulated = truth_rows_simulated(monkeypatch)
+    rows = evaluate_scenario(scenario).summary["analysis"]["truth_table"]["rows"]
+    assert [(tuple(row["driven"]), row["value"]) for row in rows] == list(expected.items())
+    assert simulated == [combo for combo in expected if combo != own_row]
+
+
+def test_truth_rows_match_the_run_on_resolved_stimuli(monkeypatch):
+    scenario = load_bundled_scenario("fig11_or")
+    expected = every_row_simulated(scenario)
+    node_a = build_topology(scenario).resolve("A")
+    simulated = truth_rows_simulated(monkeypatch)
+    # the input named by its node id is the same stimulus as the label's
+    by_id = dataclasses.replace(scenario, stimuli=(dataclasses.replace(scenario.stimuli[0], node=node_a),))
+    rows = evaluate_scenario(by_id).summary["analysis"]["truth_table"]["rows"]
+    assert [(tuple(row["driven"]), row["value"]) for row in rows] == list(expected.items())
+    assert simulated == [(), ("B",), ("A", "B")]
+    # at 8 nA the run drives A differently from the rows' 10 nA: no row is served
+    simulated.clear()
+    weaker = dataclasses.replace(scenario, stimuli=(dataclasses.replace(scenario.stimuli[0], amplitude=8e-9),))
+    evaluate_scenario(weaker)
+    assert simulated == list(expected)
 
 
 def test_reflection_analysis_block(tmp_path):
