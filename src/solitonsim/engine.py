@@ -10,13 +10,16 @@ milliamperes, so a network with no stimulus stays at exactly v_rest.
 A run has two parts.  ``_ModalSystem``, the linear part, is built once per
 run and advances a modal state over a span of constant forcing.  The span
 loop in ``simulate`` owns the time axis: a span ends at the next stimulus
-on/off step or gate transition.  Channel source states are frozen within a
-step, and every step's row is screened: a block stops at the first step
-where a segment's head leaves the window in which its phase cannot change
-(``step_gate`` decides there, and a transition ends the span) or where a
-voltage is non-finite (InstabilityError).  Events are therefore resolved at
-step granularity, exactly as with a step-by-step loop, which is what the
-refinement check is for.
+on/off step or gate transition, and takes its stimulus forcing from a
+schedule built once per run.  Channel source states are frozen within a
+step, and every step is screened: a block, laid out time-major as
+(node, step), stops at the first step where a segment's head leaves the
+window in which its phase cannot change (``step_gate`` decides there, and
+a transition ends the span) or where a voltage is non-finite
+(InstabilityError).  Events are therefore resolved at step granularity,
+exactly as with a step-by-step loop, which is what the refinement check is
+for.  The record is time-major too; ``Waveform.voltages_mv`` is its
+transpose.
 
 A span need not be screened step by step where it is certified: with every
 mode settling toward the span's fixed point, each head stays within a bound
@@ -96,7 +99,8 @@ class Waveform:
     Attributes:
         times: sample times, seconds, shape (n_samples,).
         voltages_mv: node voltages, millivolts, shape (n_samples, n_nodes);
-            columns follow node_ids.
+            columns follow node_ids.  The engine's record is time-major, so
+            this is a transposed view and each node's series is contiguous.
         node_ids: column order of voltages_mv.
         phases: gate phase codes (GateState values), shape
             (n_samples, n_segments); columns follow the topology's segment
@@ -184,15 +188,26 @@ class _ModalSystem:
 
     With D = C_c^-1/2, D G_red D = V diag(lam) V^T, and a step is a scalar map
     per mode, z' = z + g (F - lam z) with g = h/(1 + theta h lam), theta = 1
-    (backward Euler) or 1/2 (trapezoidal); F = back b is the modal forcing.
+    (backward Euler) or 1/2 (trapezoidal); F = back^T b is the modal forcing.
     Over a span of constant F, j steps on is z + R_j (F - lam z), where
-    R_j = g (r^0 + ... + r^(j-1)) with r = 1 - g lam is row j-1 of ``reach``.
-    R_j has no 1 - r divisor, so a lam = 0 mode (a capacitive node no segment
-    touches) is exact too.  ``back`` maps modal states to node voltages.
+    R_j = g (r^0 + ... + r^(j-1)) with r = 1 - g lam is column j-1 of
+    ``reach``.  R_j has no 1 - r divisor, so a lam = 0 mode (a capacitive node
+    no segment touches) is exact too.  ``back`` maps modal states to node
+    voltages, v = back z.
+
+    A block is time-major, (node, step): node i at step j is
+    sum_m back[i, m] gap_m R_j[m] + (back z + offset)_i with gap = F - lam z,
+    one product ``lhs @ rhs`` whose long axis is innermost.  The constant
+    term rides in it as one more mode whose table row is all ones.  Where
+    the net has no more nodes than a full table has steps, the gap scales
+    ``back``; otherwise (a long line with a short table) the product takes
+    the modal rows z + R_j gap, so that no other product of node size runs
+    per block.  The choice rests on the net alone, so two runs of one net
+    compute their blocks alike whatever their lengths.
 
     Where every lam > 0 and |r| <= 1 (``contracts``), a span of constant F
     also has the closed form z_j = z* + r^j (z - z*) about its fixed point
-    z* = F / lam, so every head stays within v*_h +- sum_m |back[m, h]|
+    z* = F / lam, so every head stays within v*_h +- sum_m |back[h, m]|
     |z_m - z*_m| for the rest of the span (Brette 2007; D'Haene et al. 2009).
     Where that interval lies inside every head's stay window, no gate can
     move before the span ends, and the span is jumped in closed form.
@@ -210,15 +225,18 @@ class _ModalSystem:
     scale: np.ndarray  # the diagonal of D
     vectors: np.ndarray
     lam: np.ndarray
-    back: np.ndarray
-    reach: np.ndarray
+    back: np.ndarray  # (node, mode): node voltages are back @ z
+    reach: np.ndarray  # (mode, step): column j-1 is R_j
     rate: np.ndarray  # r per mode
-    head_back: np.ndarray  # back[:, heads]
-    head_abs: np.ndarray  # |back[:, heads]|
+    head_back: np.ndarray  # back[heads].T, (mode, segment)
+    head_abs: np.ndarray  # |back[heads].T|
     contracts: bool  # every lam > 0 and |r| <= 1
+    lhs: np.ndarray  # (node, mode + 1) block operand: back (gap-scaled if gap_on_back), a constant column
+    rhs: np.ndarray  # (mode + 1, step) block operand: reach (the modal rows unless gap_on_back), ones
+    gap_on_back: bool  # no more nodes than a full table has steps (not cut short by the run)
 
     def start(self, u: np.ndarray, stim: np.ndarray):
-        """The modal state of node voltages u, and node currents to take off step 1.
+        """The modal state of node voltages u, and modal forcing to take off step 1.
 
         Trapezoidal step 1 alone averages the given rail start, not the
         constrained one: a difference (an initial voltage at or beside a rail,
@@ -228,15 +246,25 @@ class _ModalSystem:
         miss = u[self.rails] - self.rail_inv * stim[self.rails] + self.k_rc @ u[self.cnodes]
         if self.theta == 1.0 or not miss.any():
             return state, None
-        extra = np.zeros(len(u))
-        extra[self.cnodes] = (1.0 - self.theta) * self.g_rc.T @ miss
-        return state, extra
+        return state, ((1.0 - self.theta) * self.g_rc.T @ miss) @ self.back[self.cnodes]
 
-    def advance(self, state: np.ndarray, forcing: np.ndarray, m: int) -> np.ndarray:
-        """Modal rows 1..m of a span under constant modal forcing."""
-        modal = self.reach[:m] * (forcing - self.lam * state)
-        modal += state
-        return modal
+    def block(self, state: np.ndarray, forcing: np.ndarray, offset: np.ndarray, m: int):
+        """Node voltages of steps 1..m of a span under constant modal forcing, as (node, step).
+
+        Returns them with the modal gap F - lam z, from which the state after
+        step j is z + R_j * gap.
+        """
+        gap = forcing - self.lam * state
+        lhs, rhs = self.lhs, self.rhs
+        if self.gap_on_back:
+            np.multiply(self.back, gap, out=lhs[:, :-1])
+            lhs[:, -1] = self.back @ state + offset
+        else:  # the modal rows z + R_j gap: no product of node size besides the block's own
+            modal = rhs[:-1, :m]
+            np.multiply(self.reach[:, :m], gap[:, None], out=modal)
+            modal += state[:, None]
+            lhs[:, -1] = offset
+        return lhs @ rhs[:, :m], gap
 
     def settle_point(self, forcing: np.ndarray, offset: np.ndarray, lo: np.ndarray, hi: np.ndarray):
         """A span's fixed point, if every mode settles toward it and every head there is in its window.
@@ -263,15 +291,18 @@ class _ModalSystem:
         """Close a certified span of n steps in closed form about its settle point.
 
         Writes the node voltages of the steps first, first + stride, ... into
-        the rows of ``out``, at most a table's depth of rows at a time, and
-        returns the modal state and head voltages after step n.
+        the columns of ``out`` (node, sample), at most a table's depth of
+        columns at a time, and returns the modal state and head voltages after
+        step n.  Each r^j is a function of j alone, so a run recorded at any
+        stride writes the same values at the steps it shares with another.
         """
         fixed = point[0]
         gap = state - fixed
-        depth = len(self.reach)
-        for row in range(0, len(out), depth):
-            js = np.arange(row, min(row + depth, len(out)))[:, None] * stride + first
-            out[row : row + depth] = (fixed + self.rate**js * gap) @ self.back + offset
+        depth = self.reach.shape[1]
+        for col in range(0, out.shape[1], depth):
+            js = np.arange(col, min(col + depth, out.shape[1])) * stride + first
+            modal = fixed[:, None] + self.rate[:, None] ** js * gap[:, None]
+            out[:, col : col + depth] = self.back @ modal + offset[:, None]
         end = fixed + self.rate**n * gap
         return end, end @ self.head_back + offset[self.heads]
 
@@ -314,20 +345,23 @@ def _modal_system(
     if not np.isfinite(scaled).all():
         raise InvalidSpecError("the segment elements overflow when assembled: geometry too extreme")
     lam, vectors = np.linalg.eigh(scaled)
-    back = np.empty((len(cnodes), len(ids)))
-    back[:, cnodes] = (scale[:, None] * vectors).T
-    back[:, rails] = -back[:, cnodes] @ k_rc.T
+    back = np.empty((len(ids), len(cnodes)))
+    back[cnodes] = scale[:, None] * vectors
+    back[rails] = -k_rc @ back[cnodes]
 
     theta = 0.5 if integrator is Integrator.TRAPEZOIDAL else 1.0
     denom = 1.0 + theta * h * lam
     rate, gain = (1.0 - (1.0 - theta) * h * lam) / denom, h / denom
-    depth = max(1, min(_BLOCK_FLOATS // len(cnodes), n_steps))
-    reach = np.vstack((np.ones(len(cnodes)), np.broadcast_to(rate, (depth - 1, len(cnodes)))))
-    reach = gain * np.cumsum(np.cumprod(reach, axis=0), axis=0)
+    full_depth = max(1, _BLOCK_FLOATS // len(cnodes))
+    depth = min(full_depth, n_steps)
+    reach = np.hstack((np.ones((len(cnodes), 1)), np.broadcast_to(rate[:, None], (len(cnodes), depth - 1))))
+    reach = gain[:, None] * np.cumsum(np.cumprod(reach, axis=1), axis=1)
     contracts = bool(lam.min() > 0.0 and np.abs(rate).max() <= 1.0)
+    head_back = np.ascontiguousarray(back[heads].T)
+    lhs, rhs = np.hstack((back, np.zeros((len(ids), 1)))), np.vstack((reach, np.ones(depth)))
     return _ModalSystem(
         index, heads, currents, theta, cnodes, rails, rail_inv, k_rc, g_rc, scale, vectors, lam, back, reach,
-        rate, back[:, heads], np.abs(back[:, heads]), contracts,
+        rate, head_back, np.abs(head_back), contracts, lhs, rhs, len(ids) <= full_depth,
     )
 
 
@@ -345,14 +379,22 @@ def _initial_voltages(topology: Topology, index: dict, initial_mv: dict, rest: f
     return u
 
 
-def _stimulus_schedule(topology: Topology, index: dict, stimuli, h: float, n_steps: int):
-    """Stimuli as (column, amplitude, on, off) step ranges, plus the forcing breakpoints.
+def _stimulus_schedule(topology: Topology, system: _ModalSystem, stimuli, h: float, n_steps: int):
+    """The forcing intervals of a run, each with its stimulus terms, built once.
 
     A stimulus is on for the steps on <= k < off, the steps whose time k*h
     passes ``t_start <= k*h < t_start + duration``; the search runs on
     those very products.  The forcing of step k uses the stimulus at steps
     k-1 and k, so it changes at on and off and again one step later; the
     sorted breakpoints are those steps in 2..n_steps, then n_steps + 1.
+    Interval i holds the steps from breakpoint i-1 (step 1 for i = 0) to the
+    step before breakpoint i, so ``bisect_right(ends, k)`` is the interval of
+    step k.
+
+    Returns the breakpoints, the node stimulus (mA) at step 0, and per
+    interval, with k its first step, the modal stimulus forcing
+    back^T ((1 - theta) s_(k-1) + theta s_k) and the rail voltages
+    G_rr^-1 s_k (mV off rest) that the stimulus holds.
     """
     step_times = np.arange(n_steps + 1) * h if stimuli else None
     drive = []
@@ -366,9 +408,17 @@ def _stimulus_schedule(topology: Topology, index: dict, stimuli, h: float, n_ste
         if not t0 < t1:  # empty or NaN: never on
             continue
         on, off = (int(k) for k in np.searchsorted(step_times, (t0, t1)))
-        drive.append((index[node], stim.amplitude, on, off))
+        drive.append((system.index[node], stim.amplitude * 1e3, on, off))
         edges.update((on, on + 1, off, off + 1))
-    return drive, sorted(e for e in edges if 1 < e <= n_steps) + [n_steps + 1]
+    ends = sorted(e for e in edges if 1 < e <= n_steps) + [n_steps + 1]
+    firsts = np.array([1] + ends[:-1])
+    probe = np.concatenate((firsts - 1, firsts))  # the steps k-1, then the steps k
+    node_ma = np.zeros((len(probe), len(system.index)))
+    for col, amp, on, off in drive:
+        node_ma[(on <= probe) & (probe < off), col] += amp
+    before, now = node_ma[: len(firsts)], node_ma[len(firsts) :]
+    forcing = ((1.0 - system.theta) * before + system.theta * now) @ system.back
+    return ends, before[0], forcing, system.rail_inv * now[:, system.rails]
 
 
 # overflows and non-finite stimuli become inf/NaN, reported as typed errors below
@@ -417,14 +467,7 @@ def simulate(
     n_steps = math.floor(config.t_end / h * (1.0 + _GRID_SLACK))
     system = _modal_system(topology, params, h, config.integrator, n_steps)
     stride = int(config.record_stride)
-    drive, edges = _stimulus_schedule(topology, system.index, stimuli, h, n_steps)
-
-    def stim_vector(k: int) -> np.ndarray:  # milliamperes
-        vec = np.zeros(n)
-        for col, amp, on, off in drive:
-            if on <= k < off:
-                vec[col] += amp * 1e3
-        return vec
+    ends, stim_0, stim_forcing, stim_rails = _stimulus_schedule(topology, system, stimuli, h, n_steps)
 
     rest = params.v_rest
     u = _initial_voltages(topology, system.index, initial_mv or {}, rest)  # millivolts off rest
@@ -436,11 +479,11 @@ def simulate(
 
     n_samples = n_steps // stride + 1
     times = np.arange(n_samples) * stride * h
-    voltages = np.empty((n_samples, n))
+    voltages = np.empty((n, n_samples))  # time-major: a node's samples are contiguous
     phases = np.zeros((n_samples, n_segments), dtype=np.uint8)  # every gate starts at REST
-    voltages[0] = u + rest
+    voltages[:, 0] = u + rest
 
-    modal_state, step_1_extra = system.start(u, stim_vector(0))
+    modal_state, step_1_extra = system.start(u, stim_0)
     ones = np.ones(n)
     offset = np.full(n, rest)  # rest plus the rail voltages G_rr^-1 b_r of the current span
     head_prev = u[system.heads] + rest
@@ -449,63 +492,61 @@ def simulate(
     while done < n_steps:
         first = done + 1
         if first > span_end:
-            span_end = edges[bisect.bisect_right(edges, first)] - 1
-            src = np.bincount(system.heads, weights=system.currents[seg_index, states], minlength=n)
-            before, stim = stim_vector(first - 1), stim_vector(first)
-            forcing = src + (1.0 - system.theta) * before + system.theta * stim
+            interval = bisect.bisect_right(ends, first)
+            span_end = ends[interval] - 1
+            forcing = stim_forcing[interval] + system.head_back @ system.currents[seg_index, states]
             if first == 1 and step_1_extra is not None:
                 forcing -= step_1_extra
                 span_end = 1
-            modal_forcing = system.back @ forcing
-            offset[system.rails] = rest + system.rail_inv * stim[system.rails]
+            offset[system.rails] = rest + stim_rails[interval]
             lo, hi = lo_table[states], hi_table[states]
-            point = system.settle_point(modal_forcing, offset, lo, hi)
+            lo_col, hi_col = lo[:, None], hi[:, None]
+            point = system.settle_point(forcing, offset, lo, hi)
         first_row = -(-first // stride)
         if point is not None and system.holds(modal_state, point, lo, hi):
-            # no gate can move before the span ends: jump there, writing its recorded rows
-            rows = voltages[first_row : span_end // stride + 1]
+            # no gate can move before the span ends: jump there, writing its recorded samples
+            samples = voltages[:, first_row : span_end // stride + 1]
             modal_state, head_prev = system.jump(
-                modal_state, point, offset, first_row * stride - done, stride, span_end - done, rows
+                modal_state, point, offset, first_row * stride - done, stride, span_end - done, samples
             )
             done = span_end
             continue
-        m = min(len(system.reach), span_end - done)
-        modal = system.advance(modal_state, modal_forcing, m)
-        block = modal @ system.back + offset
+        m = min(system.reach.shape[1], span_end - done)
+        block, gap = system.block(modal_state, forcing, offset, m)
 
         # a step stops the block when a head leaves its window or a value is non-finite
-        head_mv = block[:, system.heads]
-        leaving = (head_mv < lo) | (head_mv >= hi)
-        finite = np.isfinite(block @ ones)  # a NaN or inf anywhere in a row makes its sum non-finite
-        stop = leaving.any(axis=1) | ~finite
-        cut = int(np.argmax(stop))
+        head_mv = block[system.heads]
+        leaving = (head_mv < lo_col) | (head_mv >= hi_col)
+        finite = np.isfinite(ones @ block)  # a NaN or inf anywhere in a column makes its sum non-finite
+        stop = leaving.any(axis=0) | ~finite
+        cut = int(stop.argmax())
         n_take = cut + 1 if stop[cut] else m
         k = done + n_take
         if not finite[n_take - 1]:
             raise InstabilityError(f"non-finite voltage at step {k} (t = {k * h:.6g} s)", step=k)
 
         # record the accepted steps done+1 .. k that fall on the grid
-        rows = block[first_row * stride - first : n_take : stride]
-        voltages[first_row : first_row + len(rows)] = rows
+        samples = block[:, first_row * stride - first : n_take : stride]
+        voltages[:, first_row : first_row + samples.shape[1]] = samples
 
         if stop[cut]:
             # a transition at the cut step k ends the span: the next block rebuilds the forcing
-            v_prev = head_mv[cut - 1] if cut > 0 else head_prev
-            for s in np.flatnonzero(leaving[cut]):
+            v_prev = head_mv[:, cut - 1] if cut > 0 else head_prev
+            for s in np.flatnonzero(leaving[:, cut]):
                 old = GateState(states[s])
-                new = step_gate(old, v_prev[s], head_mv[cut, s], params)
+                new = step_gate(old, v_prev[s], head_mv[s, cut], params)
                 if new is not old:
                     states[s] = new
                     phases[-(-k // stride) :, s] = new  # rows from ceil(k / stride) on
                     span_end = k
 
-        modal_state = modal[n_take - 1]
-        head_prev = head_mv[n_take - 1]
+        modal_state = modal_state + system.reach[:, n_take - 1] * gap
+        head_prev = head_mv[:, n_take - 1]
         done += n_take
 
     return Waveform(
         times=times,
-        voltages_mv=voltages,
+        voltages_mv=voltages.T,
         node_ids=topology.node_ids,
         phases=phases,
         labels=dict(topology.labels),

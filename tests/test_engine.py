@@ -503,14 +503,20 @@ def test_passive_segment_is_one_mode_decaying_by_the_scheme_ratio(integrator):
     assert abs(system.lam[0] - lam) <= 1e-12 * lam
     assert abs(1.0 / (R_LOSS * C_SHUNT) - lam) <= 1e-12 * lam
 
-    # with no forcing, j steps of the scheme multiply the mode by r^j
+    # with no forcing, j steps of the scheme multiply the mode by r^j: the
+    # block's capacitive node is back * r^j z, and the state after step j is
+    # z + R_j * gap
     theta = 0.5 if integrator is Integrator.TRAPEZOIDAL else 1.0
     r = (1.0 - (1.0 - theta) * h * lam) / (1.0 + theta * h * lam)
     z = np.array([-2.5])
-    rows = system.advance(z, np.zeros(1), 1000)
+    rows, gap = system.block(z, np.zeros(1), np.zeros(len(topology.node_ids)), 1000)
     expected = z[0] * r ** np.arange(1, 1001)
-    assert rows.shape == (1000, 1)
-    assert float(np.abs(rows[:, 0] / expected - 1.0).max()) <= 1e-12
+    assert rows.shape == (len(topology.node_ids), 1000)
+    (node,) = system.cnodes
+    assert float(np.abs(rows[node] / (system.back[node, 0] * expected) - 1.0).max()) <= 1e-12
+    states = z[:, None] + system.reach * gap[:, None]
+    assert states.shape == (1, 1000)
+    assert float(np.abs(states[0] / expected - 1.0).max()) <= 1e-12
 
 
 @pytest.mark.parametrize("integrator", BOTH_INTEGRATORS)
@@ -520,9 +526,11 @@ def test_zero_conductance_mode_advances_exactly_by_h_j_f(integrator):
     (mode,) = np.flatnonzero(system.lam == 0.0)
     rng = np.random.default_rng(7)
     state, forcing = rng.normal(size=(2, len(system.lam)))
-    rows = system.advance(state, forcing, 500)
+    _, gap = system.block(state, forcing, np.zeros(len(system.back)), 500)
+    # the state after step j, as the span loop takes it from the table
+    rows = state[mode] + system.reach[mode, :500] * gap[mode]
     steps = np.arange(1, 501)
-    assert np.array_equal(rows[:, mode], state[mode] + (h * steps) * forcing[mode])
+    assert np.array_equal(rows, state[mode] + (h * steps) * forcing[mode])
 
 
 @pytest.mark.parametrize("integrator", BOTH_INTEGRATORS)
@@ -531,7 +539,7 @@ def test_initial_modal_state_maps_back_to_the_capacitive_voltages(integrator):
     system = engine._modal_system(topology, PARAMS, 1e-6, integrator, 100)
     u = np.array([0.0, -5.0, 12.0, 3.0, -1.0])
     state, step_1_extra = system.start(u, np.zeros(len(u)))
-    node_mv = state @ system.back
+    node_mv = system.back @ state
     assert float(np.abs(node_mv[system.cnodes] - u[system.cnodes]).max()) < 1e-12
     # an unstimulated rail sits at the mean of its two equal neighbours, not at
     # the given 0; the trapezoidal step 1 takes that miss as extra forcing
@@ -687,11 +695,16 @@ def test_stiff_trapezoidal_net_with_negative_r_matches_reference(monkeypatch):
 def test_quiet_chain_jumps_its_span_in_one_branch_and_in_table_chunks(monkeypatch, integrator):
     jumps = count_jumps(monkeypatch)
     blocks = []
-    real_advance = engine._ModalSystem.advance
+    real_block = engine._ModalSystem.block
     monkeypatch.setattr(
-        engine._ModalSystem, "advance", lambda self, *args: blocks.append(args) or real_advance(self, *args)
+        engine._ModalSystem, "block", lambda self, *args: blocks.append(args) or real_block(self, *args)
     )
     topology, n_steps = build_chain(4), 200_000
+    # the wrapper sees the blocks of a stimulated run, so an empty list below means "never screened"
+    simulate(topology, [STIM], replace(SimConfig(t_end=2e-3), integrator=integrator), PARAMS)
+    assert blocks
+    blocks.clear()
+    jumps.clear()
     config = SimConfig(t_end=n_steps * 1e-6, record_stride=1, integrator=integrator)
     tracemalloc.start()
     try:
