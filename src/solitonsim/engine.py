@@ -8,25 +8,27 @@ passive system.  The solve runs in millivolts off rest with currents in
 milliamperes, so a network with no stimulus stays at exactly v_rest.
 
 A run has two parts.  ``_ModalSystem``, the linear part, is built once per
-run and advances a modal state over a span of constant forcing.  The span
+run; between gate events the line is linear, and its one kernel
+``_ModalSystem.rows`` turns a modal trajectory over a span of constant
+forcing into node voltages, laid out time-major as (node, step).  The span
 loop in ``simulate`` owns the time axis: a span ends at the next stimulus
 on/off step or gate transition, and takes its stimulus forcing from a
 schedule built once per run.  Channel source states are frozen within a
-step, and every step is screened: a block, laid out time-major as
-(node, step), stops at the first step where a segment's head leaves the
-window in which its phase cannot change (``step_gate`` decides there, and
-a transition ends the span) or where a voltage is non-finite
-(InstabilityError).  Events are therefore resolved at step granularity,
-exactly as with a step-by-step loop, which is what the refinement check is
-for.  The record is time-major too; ``Waveform.voltages_mv`` is its
-transpose.
+step, and every step is screened: a block stops at the first step where a
+segment's head leaves the window in which its phase cannot change
+(``step_gate`` decides there, and a transition ends the span) or where a
+voltage is non-finite (InstabilityError).  Events are therefore resolved
+at step granularity, exactly as with a step-by-step loop, which is what
+the refinement check is for.  The record is time-major too;
+``Waveform.voltages_mv`` is its transpose.
 
 A span need not be screened step by step where it is certified: with every
 mode settling toward the span's fixed point, each head stays within a bound
 around its fixed-point voltage, and where that interval lies inside every
-head's window before a block, no gate can move before the span ends.  The
-loop then writes the span's recorded rows in closed form and goes on from
-its end (``_ModalSystem.settle_point``, ``holds`` and ``jump``).
+head's window before a block, no gate can move before the span ends
+(``_ModalSystem.settle_point`` and ``holds``).  The loop then evaluates the
+span's recorded rows with the same kernel from the closed-form table
+(``powers``) and goes on from its end.
 """
 
 from __future__ import annotations
@@ -176,7 +178,6 @@ _GRID_SLACK = 1e-9
 _SETTLE_SLACK = 1e-9
 
 
-@dataclass(frozen=True, eq=False)
 class _ModalSystem:
     """The linear part of one run, fixed by (topology, params, dt, integrator).
 
@@ -188,52 +189,91 @@ class _ModalSystem:
 
     With D = C_c^-1/2, D G_red D = V diag(lam) V^T, and a step is a scalar map
     per mode, z' = z + g (F - lam z) with g = h/(1 + theta h lam), theta = 1
-    (backward Euler) or 1/2 (trapezoidal); F = back^T b is the modal forcing.
-    Over a span of constant F, j steps on is z + R_j (F - lam z), where
-    R_j = g (r^0 + ... + r^(j-1)) with r = 1 - g lam is column j-1 of
-    ``reach``.  R_j has no 1 - r divisor, so a lam = 0 mode (a capacitive node
-    no segment touches) is exact too.  ``back`` maps modal states to node
-    voltages, v = back z.
+    (backward Euler) or 1/2 (trapezoidal); F = back^T b is the modal forcing
+    and ``back`` maps modal states to node voltages, v = back z.  Over a span
+    of constant F the state j steps on is a power of this one propagator
+    (Rotter & Diesmann 1999), written as a modal row base + T_j * coef in
+    one of two forms:
 
-    A block is time-major, (node, step): node i at step j is
-    sum_m back[i, m] gap_m R_j[m] + (back z + offset)_i with gap = F - lam z,
-    one product ``lhs @ rhs`` whose long axis is innermost.  The constant
-    term rides in it as one more mode whose table row is all ones.  Where
-    the net has no more nodes than a full table has steps, the gap scales
-    ``back``; otherwise (a long line with a short table) the product takes
-    the modal rows z + R_j gap, so that no other product of node size runs
-    per block.  The choice rests on the net alone, so two runs of one net
-    compute their blocks alike whatever their lengths.
+    * z + R_j (F - lam z), with R_j = g (r^0 + ... + r^(j-1)) and
+      r = 1 - g lam, column j-1 of ``table``.  R_j has no 1 - r divisor, so
+      a lam = 0 mode (a capacitive node no segment touches) is exact too.
+    * z* + r^j (z - z*) about the fixed point z* = F / lam, where every
+      lam > 0 and |r| <= 1 (``contracts``); ``powers`` tabulates r^j.
 
-    Where every lam > 0 and |r| <= 1 (``contracts``), a span of constant F
-    also has the closed form z_j = z* + r^j (z - z*) about its fixed point
-    z* = F / lam, so every head stays within v*_h +- sum_m |back[h, m]|
-    |z_m - z*_m| for the rest of the span (Brette 2007; D'Haene et al. 2009).
-    Where that interval lies inside every head's stay window, no gate can
-    move before the span ends, and the span is jumped in closed form.
+    ``rows`` is the one map from modal rows to node voltages, (node, column),
+    for either table.  A screened block evaluates the first table, a
+    certified span the second: each head then stays within v*_h +-
+    sum_m |back[h, m]| |z_m - z*_m| for the rest of the span (Brette 2007;
+    D'Haene et al. 2009), and where that interval lies inside every head's
+    stay window, no gate can move before the span ends.
     """
 
-    index: dict[NodeId, int]  # node id -> column
-    heads: np.ndarray  # head column per segment
-    currents: np.ndarray  # source current (mA) per segment and phase code
-    theta: float
-    cnodes: np.ndarray  # columns of the capacitive nodes
-    rails: np.ndarray  # columns of the bare rails
-    rail_inv: np.ndarray  # the diagonal of G_rr^-1
-    k_rc: np.ndarray
-    g_rc: np.ndarray
-    scale: np.ndarray  # the diagonal of D
-    vectors: np.ndarray
-    lam: np.ndarray
-    back: np.ndarray  # (node, mode): node voltages are back @ z
-    reach: np.ndarray  # (mode, step): column j-1 is R_j
-    rate: np.ndarray  # r per mode
-    head_back: np.ndarray  # back[heads].T, (mode, segment)
-    head_abs: np.ndarray  # |back[heads].T|
-    contracts: bool  # every lam > 0 and |r| <= 1
-    lhs: np.ndarray  # (node, mode + 1) block operand: back (gap-scaled if gap_on_back), a constant column
-    rhs: np.ndarray  # (mode + 1, step) block operand: reach (the modal rows unless gap_on_back), ones
-    gap_on_back: bool  # no more nodes than a full table has steps (not cut short by the run)
+    def __init__(
+        self, topology: Topology, params: MembraneParams, h: float, integrator: Integrator, n_steps: int
+    ) -> None:
+        """Assemble, Kron-reduce and diagonalize a network; tabulate R_j for up to n_steps steps."""
+        ids = topology.node_ids
+        self.index = {node: i for i, node in enumerate(ids)}  # node id -> column
+        cap = np.zeros(len(ids))
+        cond = np.zeros((len(ids), len(ids)))
+        elements = [derive_elements(seg.spec, params) for seg in topology.segments]
+        self.heads = np.array([self.index[seg.head] for seg in topology.segments], dtype=np.intp)
+        for seg, el, hd in zip(topology.segments, elements, self.heads):
+            tl = self.index[seg.tail]
+            g_ax = 1.0 / el.r_axial
+            cond[tl, tl] += g_ax
+            cond[hd, hd] += g_ax
+            cond[tl, hd] -= g_ax
+            cond[hd, tl] -= g_ax
+            cond[hd, hd] += 1.0 / el.r_loss
+            cap[hd] += el.c_shunt
+        for node, extra in topology.extra_c.items():
+            cap[self.index[node]] += extra
+        currents = [[source_current(phase, el) * 1e3 for phase in GateState] for el in elements]
+        self.currents = np.array(currents)  # source current (mA) per segment and phase code
+
+        cnodes, rails = np.flatnonzero(cap > 0.0), np.flatnonzero(cap == 0.0)
+        self.cnodes, self.rails = cnodes, rails
+        self.g_rc = cond[np.ix_(rails, cnodes)]
+        g_rr = cond[rails, rails]  # the diagonal of G_rr, which is all of it
+        if not g_rr.all():
+            isolated = [ids[i] for i in rails[g_rr == 0.0]]
+            raise TopologyError(f"degenerate topology: bare nodes {isolated} touch no segment")
+        self.rail_inv = 1.0 / g_rr
+        self.k_rc = self.g_rc * self.rail_inv[:, None]
+        reduced = cond[np.ix_(cnodes, cnodes)] - self.g_rc.T @ self.k_rc
+
+        self.scale = 1.0 / np.sqrt(cap[cnodes])  # the diagonal of D
+        scaled = self.scale[:, None] * reduced * self.scale
+        if not np.isfinite(scaled).all():
+            raise InvalidSpecError("the segment elements overflow when assembled: geometry too extreme")
+        self.lam, self.vectors = np.linalg.eigh(scaled)
+        self.back = np.empty((len(ids), len(cnodes)))  # (node, mode)
+        self.back[cnodes] = self.scale[:, None] * self.vectors
+        self.back[rails] = -self.k_rc @ self.back[cnodes]
+        self.head_back = np.ascontiguousarray(self.back[self.heads].T)  # (mode, segment)
+        self.head_abs = np.abs(self.head_back)
+
+        self.theta = 0.5 if integrator is Integrator.TRAPEZOIDAL else 1.0
+        denom = 1.0 + self.theta * h * self.lam
+        self.rate, gain = (1.0 - (1.0 - self.theta) * h * self.lam) / denom, h / denom
+        self.contracts = bool(self.lam.min() > 0.0 and np.abs(self.rate).max() <= 1.0)
+        full_depth = max(1, _BLOCK_FLOATS // len(cnodes))
+        depth = min(full_depth, n_steps)
+        factors = np.broadcast_to(self.rate[:, None], (len(cnodes), depth - 1))
+        factors = np.hstack((np.ones((len(cnodes), 1)), factors))
+        reach = gain[:, None] * np.cumsum(np.cumprod(factors, axis=1), axis=1)
+        self.table = np.vstack((reach, np.ones(depth)))  # (mode + 1, step): R_j over a row of ones
+        self.power = np.ones_like(self.table)  # the r^j of ``powers``, over the same row of ones
+        # The operands of ``rows``.  With no more nodes than a full table has
+        # steps (decided by the net alone, so two runs of one net evaluate
+        # alike whatever their lengths), coef scales ``back`` in ``lhs``;
+        # otherwise ``modal`` takes the modal rows, and no other product of
+        # node size runs per evaluation.
+        self.coef_on_back = len(ids) <= full_depth
+        self.lhs = np.hstack((self.back, np.zeros((len(ids), 1))))
+        self.modal = np.ones_like(self.table)
 
     def start(self, u: np.ndarray, stim: np.ndarray):
         """The modal state of node voltages u, and modal forcing to take off step 1.
@@ -248,23 +288,23 @@ class _ModalSystem:
             return state, None
         return state, ((1.0 - self.theta) * self.g_rc.T @ miss) @ self.back[self.cnodes]
 
-    def block(self, state: np.ndarray, forcing: np.ndarray, offset: np.ndarray, m: int):
-        """Node voltages of steps 1..m of a span under constant modal forcing, as (node, step).
+    def rows(self, base: np.ndarray, coef: np.ndarray, offset: np.ndarray, table: np.ndarray) -> np.ndarray:
+        """Node voltages of the modal rows base + T * coef plus ``offset``, as (node, column).
 
-        Returns them with the modal gap F - lam z, from which the state after
-        step j is z + R_j * gap.
+        ``table`` is T, (mode, column), over a row of ones.  The rows are one
+        product whose long axis is innermost, the constant term riding in it
+        as one more mode.
         """
-        gap = forcing - self.lam * state
-        lhs, rhs = self.lhs, self.rhs
-        if self.gap_on_back:
-            np.multiply(self.back, gap, out=lhs[:, :-1])
-            lhs[:, -1] = self.back @ state + offset
-        else:  # the modal rows z + R_j gap: no product of node size besides the block's own
-            modal = rhs[:-1, :m]
-            np.multiply(self.reach[:, :m], gap[:, None], out=modal)
-            modal += state[:, None]
-            lhs[:, -1] = offset
-        return lhs @ rhs[:, :m], gap
+        lhs = self.lhs
+        if self.coef_on_back:
+            np.multiply(self.back, coef, out=lhs[:, :-1])
+            lhs[:, -1] = self.back @ base + offset
+            return lhs @ table
+        modal = self.modal[:, : table.shape[1]]
+        np.multiply(table[:-1], coef[:, None], out=modal[:-1])
+        modal[:-1] += base[:, None]
+        lhs[:, -1] = offset
+        return lhs @ modal
 
     def settle_point(self, forcing: np.ndarray, offset: np.ndarray, lo: np.ndarray, hi: np.ndarray):
         """A span's fixed point, if every mode settles toward it and every head there is in its window.
@@ -287,82 +327,15 @@ class _ModalSystem:
         margin = reach + _SETTLE_SLACK * (size + reach)
         return bool(((head_mv - margin >= lo) & (head_mv + margin < hi)).all())
 
-    def jump(self, state, point, offset, first: int, stride: int, n: int, out: np.ndarray):
-        """Close a certified span of n steps in closed form about its settle point.
+    def powers(self, js: np.ndarray) -> np.ndarray:
+        """The table r^j of the steps js (at most a table's depth), over a row of ones.
 
-        Writes the node voltages of the steps first, first + stride, ... into
-        the columns of ``out`` (node, sample), at most a table's depth of
-        columns at a time, and returns the modal state and head voltages after
-        step n.  Each r^j is a function of j alone, so a run recorded at any
-        stride writes the same values at the steps it shares with another.
+        Each r^j is a function of j alone, so a run recorded at any stride
+        evaluates the same rows at the steps it shares with another.
         """
-        fixed = point[0]
-        gap = state - fixed
-        depth = self.reach.shape[1]
-        for col in range(0, out.shape[1], depth):
-            js = np.arange(col, min(col + depth, out.shape[1])) * stride + first
-            modal = fixed[:, None] + self.rate[:, None] ** js * gap[:, None]
-            out[:, col : col + depth] = self.back @ modal + offset[:, None]
-        end = fixed + self.rate**n * gap
-        return end, end @ self.head_back + offset[self.heads]
-
-
-def _modal_system(
-    topology: Topology, params: MembraneParams, h: float, integrator: Integrator, n_steps: int
-) -> _ModalSystem:
-    """Assemble, Kron-reduce and diagonalize a network; tabulate R_j for up to n_steps steps."""
-    ids = topology.node_ids
-    index = {node: i for i, node in enumerate(ids)}
-    cap = np.zeros(len(ids))
-    cond = np.zeros((len(ids), len(ids)))
-    elements = [derive_elements(seg.spec, params) for seg in topology.segments]
-    heads = np.array([index[seg.head] for seg in topology.segments], dtype=np.intp)
-    for seg, el, hd in zip(topology.segments, elements, heads):
-        tl = index[seg.tail]
-        g_ax = 1.0 / el.r_axial
-        cond[tl, tl] += g_ax
-        cond[hd, hd] += g_ax
-        cond[tl, hd] -= g_ax
-        cond[hd, tl] -= g_ax
-        cond[hd, hd] += 1.0 / el.r_loss
-        cap[hd] += el.c_shunt
-    for node, extra in topology.extra_c.items():
-        cap[index[node]] += extra
-    currents = np.array([[source_current(phase, el) * 1e3 for phase in GateState] for el in elements])
-
-    cnodes, rails = np.flatnonzero(cap > 0.0), np.flatnonzero(cap == 0.0)
-    g_rc = cond[np.ix_(rails, cnodes)]
-    g_rr = cond[rails, rails]  # the diagonal of G_rr, which is all of it
-    if not g_rr.all():
-        isolated = [ids[i] for i in rails[g_rr == 0.0]]
-        raise TopologyError(f"degenerate topology: bare nodes {isolated} touch no segment")
-    rail_inv = 1.0 / g_rr
-    k_rc = g_rc * rail_inv[:, None]
-    reduced = cond[np.ix_(cnodes, cnodes)] - g_rc.T @ k_rc
-
-    scale = 1.0 / np.sqrt(cap[cnodes])
-    scaled = scale[:, None] * reduced * scale
-    if not np.isfinite(scaled).all():
-        raise InvalidSpecError("the segment elements overflow when assembled: geometry too extreme")
-    lam, vectors = np.linalg.eigh(scaled)
-    back = np.empty((len(ids), len(cnodes)))
-    back[cnodes] = scale[:, None] * vectors
-    back[rails] = -k_rc @ back[cnodes]
-
-    theta = 0.5 if integrator is Integrator.TRAPEZOIDAL else 1.0
-    denom = 1.0 + theta * h * lam
-    rate, gain = (1.0 - (1.0 - theta) * h * lam) / denom, h / denom
-    full_depth = max(1, _BLOCK_FLOATS // len(cnodes))
-    depth = min(full_depth, n_steps)
-    reach = np.hstack((np.ones((len(cnodes), 1)), np.broadcast_to(rate[:, None], (len(cnodes), depth - 1))))
-    reach = gain[:, None] * np.cumsum(np.cumprod(reach, axis=1), axis=1)
-    contracts = bool(lam.min() > 0.0 and np.abs(rate).max() <= 1.0)
-    head_back = np.ascontiguousarray(back[heads].T)
-    lhs, rhs = np.hstack((back, np.zeros((len(ids), 1)))), np.vstack((reach, np.ones(depth)))
-    return _ModalSystem(
-        index, heads, currents, theta, cnodes, rails, rail_inv, k_rc, g_rc, scale, vectors, lam, back, reach,
-        rate, head_back, np.abs(head_back), contracts, lhs, rhs, len(ids) <= full_depth,
-    )
+        table = self.power[:, : len(js)]
+        np.power(self.rate[:, None], js, out=table[:-1])
+        return table
 
 
 def _initial_voltages(topology: Topology, index: dict, initial_mv: dict, rest: float) -> np.ndarray:
@@ -465,7 +438,7 @@ def simulate(
         params = MembraneParams()
     h = config.dt
     n_steps = math.floor(config.t_end / h * (1.0 + _GRID_SLACK))
-    system = _modal_system(topology, params, h, config.integrator, n_steps)
+    system = _ModalSystem(topology, params, h, config.integrator, n_steps)
     stride = int(config.record_stride)
     ends, stim_0, stim_forcing, stim_rails = _stimulus_schedule(topology, system, stimuli, h, n_steps)
 
@@ -487,6 +460,7 @@ def simulate(
     ones = np.ones(n)
     offset = np.full(n, rest)  # rest plus the rail voltages G_rr^-1 b_r of the current span
     head_prev = u[system.heads] + rest
+    depth = system.table.shape[1]
     span_end = 0  # last step of the current span, over which the forcing is constant
     done = 0
     while done < n_steps:
@@ -504,15 +478,19 @@ def simulate(
             point = system.settle_point(forcing, offset, lo, hi)
         first_row = -(-first // stride)
         if point is not None and system.holds(modal_state, point, lo, hi):
-            # no gate can move before the span ends: jump there, writing its recorded samples
-            samples = voltages[:, first_row : span_end // stride + 1]
-            modal_state, head_prev = system.jump(
-                modal_state, point, offset, first_row * stride - done, stride, span_end - done, samples
-            )
+            # no gate can move before the span ends: write its recorded rows
+            # about z*, a table's depth at a time, and go on from its end
+            fixed, gap = point[0], modal_state - point[0]
+            for row in range(first_row, span_end // stride + 1, depth):
+                js = np.arange(row, min(row + depth, span_end // stride + 1)) * stride - done
+                voltages[:, row : row + len(js)] = system.rows(fixed, gap, offset, system.powers(js))
+            modal_state = fixed + system.rate ** (span_end - done) * gap
+            head_prev = modal_state @ system.head_back + offset[system.heads]
             done = span_end
             continue
-        m = min(system.reach.shape[1], span_end - done)
-        block, gap = system.block(modal_state, forcing, offset, m)
+        m = min(depth, span_end - done)
+        gap = forcing - system.lam * modal_state
+        block = system.rows(modal_state, gap, offset, system.table[:, :m])
 
         # a step stops the block when a head leaves its window or a value is non-finite
         head_mv = block[system.heads]
@@ -540,7 +518,7 @@ def simulate(
                     phases[-(-k // stride) :, s] = new  # rows from ceil(k / stride) on
                     span_end = k
 
-        modal_state = modal_state + system.reach[:, n_take - 1] * gap
+        modal_state = modal_state + system.table[:-1, n_take - 1] * gap
         head_prev = head_mv[:, n_take - 1]
         done += n_take
 

@@ -54,16 +54,25 @@ def passive_spec() -> SegmentSpec:
     return SegmentSpec(active=False)
 
 
-def count_jumps(monkeypatch) -> list[int]:
-    """Record the step count of every span the loop jumps in closed form."""
-    real = engine._ModalSystem.jump
+def count_jumps(monkeypatch) -> list[list[int]]:
+    """Record every span the loop jumps in closed form, as the lengths of the
+    r^j tables it evaluates for the span's recorded rows: at stride 1 they sum
+    to the span's step count."""
+    real_holds, real_powers = engine._ModalSystem.holds, engine._ModalSystem.powers
     jumps = []
 
-    def jump(self, state, point, offset, first, stride, n, out):
-        jumps.append(n)
-        return real(self, state, point, offset, first, stride, n, out)
+    def holds(self, *args):
+        certified = real_holds(self, *args)
+        if certified:
+            jumps.append([])
+        return certified
 
-    monkeypatch.setattr(engine._ModalSystem, "jump", jump)
+    def powers(self, js):
+        jumps[-1].append(len(js))
+        return real_powers(self, js)
+
+    monkeypatch.setattr(engine._ModalSystem, "holds", holds)
+    monkeypatch.setattr(engine._ModalSystem, "powers", powers)
     return jumps
 
 
@@ -82,7 +91,7 @@ def test_zero_stimulus_equilibrium_is_bit_exact(monkeypatch, integrator):
         wave = simulate(build_chain(n_segments), (), config)
         assert np.all(wave.voltages_mv == -70.0)
         assert np.all(wave.phases == GateState.REST.value)
-    assert jumps == [5000, 5000]
+    assert [sum(chunks) for chunks in jumps] == [5000, 5000]
 
 
 @pytest.mark.parametrize(
@@ -496,25 +505,29 @@ def test_passive_segment_is_one_mode_decaying_by_the_scheme_ratio(integrator):
     # one capacitive node, whose reduced conductance is its leak: lam = 1/tau,
     # tau = r_loss * c_shunt = 1/300 s (the areas cancel)
     topology, h, lam = build_chain(1, passive_spec()), 1e-6, 300.0
-    system = engine._modal_system(topology, PARAMS, h, integrator, 1000)
+    system = engine._ModalSystem(topology, PARAMS, h, integrator, 1000)
     caps = node_capacitances(topology, PARAMS)
     assert [topology.node_ids[c] for c in system.cnodes] == [n for n in topology.node_ids if caps[n] > 0.0]
     assert system.lam.shape == (1,)
     assert abs(system.lam[0] - lam) <= 1e-12 * lam
     assert abs(1.0 / (R_LOSS * C_SHUNT) - lam) <= 1e-12 * lam
 
-    # with no forcing, j steps of the scheme multiply the mode by r^j: the
-    # block's capacitive node is back * r^j z, and the state after step j is
-    # z + R_j * gap
+    # with no forcing, j steps of the scheme multiply the mode by r^j: in
+    # either table's rows the capacitive node is back * r^j z, and the state
+    # after step j is z + R_j * gap
     theta = 0.5 if integrator is Integrator.TRAPEZOIDAL else 1.0
     r = (1.0 - (1.0 - theta) * h * lam) / (1.0 + theta * h * lam)
-    z = np.array([-2.5])
-    rows, gap = system.block(z, np.zeros(1), np.zeros(len(topology.node_ids)), 1000)
+    z, zero, offset = np.array([-2.5]), np.zeros(1), np.zeros(len(topology.node_ids))
+    gap = zero - system.lam * z
     expected = z[0] * r ** np.arange(1, 1001)
-    assert rows.shape == (len(topology.node_ids), 1000)
     (node,) = system.cnodes
-    assert float(np.abs(rows[node] / (system.back[node, 0] * expected) - 1.0).max()) <= 1e-12
-    states = z[:, None] + system.reach * gap[:, None]
+    for rows in (
+        system.rows(z, gap, offset, system.table),
+        system.rows(zero, z, offset, system.powers(np.arange(1, 1001))),
+    ):
+        assert rows.shape == (len(topology.node_ids), 1000)
+        assert float(np.abs(rows[node] / (system.back[node, 0] * expected) - 1.0).max()) <= 1e-12
+    states = z[:, None] + system.table[:-1] * gap[:, None]
     assert states.shape == (1, 1000)
     assert float(np.abs(states[0] / expected - 1.0).max()) <= 1e-12
 
@@ -522,13 +535,13 @@ def test_passive_segment_is_one_mode_decaying_by_the_scheme_ratio(integrator):
 @pytest.mark.parametrize("integrator", BOTH_INTEGRATORS)
 def test_zero_conductance_mode_advances_exactly_by_h_j_f(integrator):
     h = 1e-6
-    system = engine._modal_system(floating_node_chain(), PARAMS, h, integrator, 500)
+    system = engine._ModalSystem(floating_node_chain(), PARAMS, h, integrator, 500)
     (mode,) = np.flatnonzero(system.lam == 0.0)
     rng = np.random.default_rng(7)
     state, forcing = rng.normal(size=(2, len(system.lam)))
-    _, gap = system.block(state, forcing, np.zeros(len(system.back)), 500)
     # the state after step j, as the span loop takes it from the table
-    rows = state[mode] + system.reach[mode, :500] * gap[mode]
+    gap = forcing - system.lam * state
+    rows = state[mode] + system.table[mode, :500] * gap[mode]
     steps = np.arange(1, 501)
     assert np.array_equal(rows, state[mode] + (h * steps) * forcing[mode])
 
@@ -536,7 +549,7 @@ def test_zero_conductance_mode_advances_exactly_by_h_j_f(integrator):
 @pytest.mark.parametrize("integrator", BOTH_INTEGRATORS)
 def test_initial_modal_state_maps_back_to_the_capacitive_voltages(integrator):
     topology = rail_feeding_two_branches()
-    system = engine._modal_system(topology, PARAMS, 1e-6, integrator, 100)
+    system = engine._ModalSystem(topology, PARAMS, 1e-6, integrator, 100)
     u = np.array([0.0, -5.0, 12.0, 3.0, -1.0])
     state, step_1_extra = system.start(u, np.zeros(len(u)))
     node_mv = system.back @ state
@@ -655,6 +668,25 @@ def test_a_bound_that_certifies_everything_fails_against_the_reference(monkeypat
         assert_matches_reference(simulate(*run), reference)
 
 
+@pytest.mark.parametrize("name", bundled_scenario_names() + ["long_chain_quiet_tail"])
+def test_certificate_left_on_gives_the_run_made_with_it_forced_off(monkeypatch, name):
+    if name == "long_chain_quiet_tail":
+        # 160 segments at stride 10, below threshold: the decaying tail is
+        # jumped through the operand that builds the modal rows, as the
+        # chain's 161 nodes outnumber a table's 25 steps.  (A pulse crosses a
+        # segment in about 2 ms, so a firing chain of this length is not
+        # quiet again within a run of this size.)
+        stimulus = Stimulus(node="v(81)", amplitude=1e-9, t_start=0.2e-3, duration=0.2e-3)
+        run = (build_chain(160), [stimulus], SimConfig(t_end=20e-3, record_stride=10), PARAMS)
+    else:
+        run = scenario_run(name)
+    jumps = count_jumps(monkeypatch)
+    wave = simulate(*run)
+    assert jumps
+    monkeypatch.setattr(engine._ModalSystem, "settle_point", CERTIFICATE_MODES["off"])
+    assert_matches_reference(simulate(*run), (wave.times, wave.voltages_mv, wave.phases))
+
+
 @pytest.mark.parametrize("integrator", BOTH_INTEGRATORS)
 def test_a_zero_conductance_mode_is_never_certified(monkeypatch, integrator):
     topology, stimuli, initial_mv = EDGE_CASES["floating_node"]
@@ -663,7 +695,7 @@ def test_a_zero_conductance_mode_is_never_certified(monkeypatch, integrator):
     wave = simulate(topology, stimuli, config, PARAMS, initial_mv)
     assert_matches_reference(wave, reference_simulate(topology, stimuli, config, PARAMS, initial_mv))
     assert jumps == []
-    system = engine._modal_system(topology, PARAMS, config.dt, integrator, 100)
+    system = engine._ModalSystem(topology, PARAMS, config.dt, integrator, 100)
     n = len(topology.node_ids)
     lo, hi = (np.full(len(system.heads), edge) for edge in (-math.inf, math.inf))
     assert not system.contracts
@@ -672,7 +704,7 @@ def test_a_zero_conductance_mode_is_never_certified(monkeypatch, integrator):
 
 def test_a_growing_mode_is_never_certified():
     # a negative step makes backward Euler's r = 1 / (1 + h lam) exceed 1 with every lam > 0
-    system = engine._modal_system(build_chain(2), PARAMS, -1e-6, Integrator.BACKWARD_EULER, 100)
+    system = engine._ModalSystem(build_chain(2), PARAMS, -1e-6, Integrator.BACKWARD_EULER, 100)
     assert system.lam.min() > 0.0 and system.rate.max() > 1.0
     lo, hi = (np.full(2, edge) for edge in (-math.inf, math.inf))
     assert not system.contracts
@@ -683,7 +715,7 @@ def test_stiff_trapezoidal_net_with_negative_r_matches_reference(monkeypatch):
     # 10 um segments: h lam reaches 6.1, and the stiffest mode's r is -0.51
     topology = build_chain(8, SegmentSpec(length=0.001))
     config = SimConfig(t_end=3e-3, record_stride=1)
-    assert engine._modal_system(topology, PARAMS, config.dt, config.integrator, 10).rate.min() < -0.5
+    assert engine._ModalSystem(topology, PARAMS, config.dt, config.integrator, 10).rate.min() < -0.5
     jumps = count_jumps(monkeypatch)
     run = (topology, [replace(STIM, amplitude=1e-9, t_start=0.2e-3)], config, PARAMS)
     wave = simulate(*run)
@@ -695,10 +727,15 @@ def test_stiff_trapezoidal_net_with_negative_r_matches_reference(monkeypatch):
 def test_quiet_chain_jumps_its_span_in_one_branch_and_in_table_chunks(monkeypatch, integrator):
     jumps = count_jumps(monkeypatch)
     blocks = []
-    real_block = engine._ModalSystem.block
-    monkeypatch.setattr(
-        engine._ModalSystem, "block", lambda self, *args: blocks.append(args) or real_block(self, *args)
-    )
+    real_rows = engine._ModalSystem.rows
+
+    def rows(self, base, coef, offset, table):
+        # a screened block evaluates the R_j table, a jumped span the r^j table
+        if np.shares_memory(table, self.table):
+            blocks.append(table.shape[1])
+        return real_rows(self, base, coef, offset, table)
+
+    monkeypatch.setattr(engine._ModalSystem, "rows", rows)
     topology, n_steps = build_chain(4), 200_000
     # the wrapper sees the blocks of a stimulated run, so an empty list below means "never screened"
     simulate(topology, [STIM], replace(SimConfig(t_end=2e-3), integrator=integrator), PARAMS)
@@ -712,12 +749,13 @@ def test_quiet_chain_jumps_its_span_in_one_branch_and_in_table_chunks(monkeypatc
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # no stimulus and no transition: one span, closed in one branch, never screened
-    assert jumps == [n_steps] and blocks == []
+    # no stimulus and no transition: one span, closed in one branch, never
+    # screened, its rows evaluated a table's depth (1,024 steps) at a time
+    ((*chunks, last),) = jumps
+    assert chunks == [1024] * (n_steps // 1024) and last == n_steps % 1024 and blocks == []
     assert np.all(wave.phases == GateState.REST.value)
     assert float(np.abs(wave.voltages_mv[-1] + 70.0).max()) < 1e-9
-    # beyond the outputs, nothing near the 1.6 MB of one full-length column
-    # is held: the rows are made a table's depth (1,024 steps) at a time
+    # beyond the outputs, nothing near the 1.6 MB of one full-length column is held
     outputs = wave.times.nbytes + wave.voltages_mv.nbytes + wave.phases.nbytes
     assert peak - outputs < 400_000
     run = (topology, (), replace(config, t_end=3e-3), PARAMS, {"v(4)": -65.0})
